@@ -20,13 +20,13 @@
 //!   (override: `AMBIT_BENCH_BATCH_SNAPSHOT`, schema v3) with measured
 //!   throughput against the analytic [`AmbitConfig`] envelope, the
 //!   bank-parallel speedup over serial issue, the OS-threaded wall-clock
-//!   ratio, and the persistent executor pool's reuse counters. The
-//!   recorded `config.threads` is the pool's actual worker target
+//!   ratio, and the threaded fan-out's counters. The recorded
+//!   `config.threads` is the fan-out's actual thread budget
 //!   (`AMBIT_POOL_THREADS` / host parallelism), not a constant.
 //! * `bench_snapshot --validate-batch <path>` checks a batch snapshot:
 //!   measured throughput within 10 % of the analytic envelope, speedup at
-//!   least 0.8·C·B at every swept point, pool reuse evidence on
-//!   multi-core runners — and prints (rather than silently passing) every
+//!   least 0.8·C·B at every swept point, threaded jobs on multi-core
+//!   runners — and prints (rather than silently passing) every
 //!   sweep row whose wall-clock speedup fell below 1.0.
 //!
 //! A third mode benchmarks the functional data plane itself:
@@ -306,7 +306,7 @@ struct BatchResult {
     measured_gops: f64,
     analytic_gops: f64,
     envelope_error_frac: f64,
-    /// Executor-pool counters accumulated over this point's threaded runs.
+    /// Fan-out counters accumulated over this point's threaded runs.
     pool: ambit_core::PoolStats,
 }
 
@@ -348,8 +348,8 @@ fn build_bank_sweep_batch(
 /// OS-threaded issue path over single-threaded bank-parallel issue (best
 /// of [`WALLCLOCK_SAMPLES`] each, asserted byte-identical first).
 ///
-/// When the executor pool degrades the threaded policy to `BankParallel`
-/// (single-worker pool, e.g. a one-core runner), the two policies run the
+/// When a one-thread budget degrades the threaded policy to
+/// `BankParallel` (e.g. a one-core runner), the two policies run the
 /// exact same code path — the wall-clock ratio is recorded as 1.0 by
 /// definition rather than as scheduler noise around it.
 fn measure_batch(channels: usize, banks: usize, per_bank: usize, config: &AmbitConfig) -> BatchResult {
@@ -360,8 +360,8 @@ fn measure_batch(channels: usize, banks: usize, per_bank: usize, config: &AmbitC
     };
     let total_banks = geometry.total_banks();
     // One sample: fresh module, timed execute_batch, dst readback. Also
-    // reports the module's pool counters so threaded runs can accumulate
-    // reuse evidence into the snapshot.
+    // reports the module's fan-out counters so threaded runs can
+    // accumulate them into the snapshot.
     let run = |policy: IssuePolicy| {
         let mut mem = AmbitMemory::new(geometry, config.timing, config.mode);
         let (batch, dsts) = build_bank_sweep_batch(&mut mem, total_banks, per_bank);
@@ -378,7 +378,6 @@ fn measure_batch(channels: usize, banks: usize, per_bank: usize, config: &AmbitC
     };
     fn absorb(pool: &mut ambit_core::PoolStats, s: ambit_core::PoolStats) {
         pool.target_workers = s.target_workers;
-        pool.workers = pool.workers.max(s.workers);
         pool.jobs_executed += s.jobs_executed;
         pool.inline_jobs += s.inline_jobs;
         pool.cold_spawns += s.cold_spawns;
@@ -443,11 +442,11 @@ fn measure_batch(channels: usize, banks: usize, per_bank: usize, config: &AmbitC
     }
 }
 
-/// Worker threads the batch engine's executor pool will actually use —
-/// recorded in the snapshot so the validator knows whether the wall-clock
-/// floor is meaningful on the machine that produced it. Honors
-/// `AMBIT_POOL_THREADS` and the host's parallelism, exactly like the pool
-/// inside every [`AmbitMemory`].
+/// Threads the batch engine's fan-out will actually use — recorded in the
+/// snapshot so the validator knows whether the wall-clock floor is
+/// meaningful on the machine that produced it. Honors
+/// `AMBIT_POOL_THREADS` and the host's parallelism, exactly like every
+/// [`AmbitMemory`].
 fn available_threads() -> usize {
     AmbitMemory::new(
         DramGeometry::tiny(),
@@ -511,7 +510,7 @@ fn render_batch_snapshot(results: &[BatchResult], config: &AmbitConfig, per_bank
 /// Validates a batch snapshot: schema marker, per-entry fields, measured
 /// throughput within [`BATCH_ENVELOPE_TOLERANCE`] of the analytic
 /// envelope, speedup ≥ [`BATCH_SPEEDUP_FLOOR`]·C·B at every sweep point,
-/// pool-reuse evidence on multi-core runners, and — when the recorded
+/// threaded jobs on multi-core runners, and — when the recorded
 /// runner had ≥ 2 cores — wall-clock speedup ≥ [`WALLCLOCK_SPEEDUP_FLOOR`]
 /// at [`WALLCLOCK_FLOOR_BANKS`]+ total banks.
 ///
@@ -546,20 +545,9 @@ fn validate_batch_snapshot(text: &str) -> Result<(usize, Vec<String>), Vec<Strin
     }
     let pool_field =
         |key: &str| doc.get("pool").and_then(|p| p.get(key)).and_then(Json::as_u64).unwrap_or(0);
-    if threads >= 2 {
-        // A multi-worker pool must actually have run pool jobs, and the
-        // persistent workers must have served more dispatches than the
-        // cold spawns that created them — the reuse the pool exists for.
-        if pool_field("jobs_executed") == 0 {
-            errors.push("pool.jobs_executed is 0 on a multi-core runner".into());
-        }
-        if pool_field("warm_dispatches") < pool_field("cold_spawns") {
-            errors.push(format!(
-                "pool reuse missing: {} warm dispatches vs {} cold spawns",
-                pool_field("warm_dispatches"),
-                pool_field("cold_spawns")
-            ));
-        }
+    // A multi-thread budget must actually have fanned jobs out to threads.
+    if threads >= 2 && pool_field("jobs_executed") == 0 {
+        errors.push("pool.jobs_executed is 0 on a multi-core runner".into());
     }
     let Some(sweep) = doc.get("sweep").and_then(Json::as_arr) else {
         errors.push("\"sweep\" missing or not an array".into());

@@ -13,7 +13,7 @@
 //! slice with a random device characterization map (variation-aware
 //! placement, spare-row pre-remap, per-subarray fault campaign);
 //! `--multi-channel` places a slice of the fault-free programs on the
-//! two-channel geometry so the channel-sharded threaded batch path is
+//! two-channel geometry so threaded batches that span channels are
 //! fuzzed against the serial paths; `--synth` lets fault-free programs
 //! carry random synthesized truth-table ops, compiled through the
 //! `ambit-core::synth` pipeline on every execution path. The first

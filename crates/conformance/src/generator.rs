@@ -45,8 +45,8 @@ pub struct GeneratorConfig {
     /// geometry instead of the single-channel tiny one (0 disables). The
     /// draw is gated on the knob being nonzero, so existing configurations
     /// keep their exact draw streams. Armed programs stay single-channel:
-    /// the knob exists to fuzz the channel-sharded threaded batch path,
-    /// which armed programs never take.
+    /// the knob exists to fuzz threaded batches that span channels, a
+    /// path armed programs never take.
     pub multi_channel_chance: f64,
     /// Probability that a fault-free program is synth-armed (0 disables):
     /// a slice of its ops become random-truth-table [`ProgOp::Synth`] ops,
@@ -138,8 +138,8 @@ pub fn generate(seed: u64, cfg: &GeneratorConfig) -> Program {
     let multi_channel =
         !armed && cfg.multi_channel_chance > 0.0 && rng.chance(cfg.multi_channel_chance);
     // Synth arming uses the same gating pattern, and composes freely with
-    // the multi-channel draw (synthesized batches through the
-    // channel-sharded threaded path are exactly what we want fuzzed).
+    // the multi-channel draw (synthesized batches through the threaded
+    // path across two channels are exactly what we want fuzzed).
     let synth_armed = !armed && cfg.synth_chance > 0.0 && rng.chance(cfg.synth_chance);
     let geometry = if multi_channel { GeometryKind::TinyDual } else { GeometryKind::Tiny };
     let row_bits = geometry.geometry().row_bytes * 8;
@@ -357,8 +357,8 @@ mod tests {
             ..GeneratorConfig::default()
         };
         let programs: Vec<Program> = (1..400).map(|s| generate(s, &cfg)).collect();
-        // Some dual-channel programs carry synth ops: the channel-sharded
-        // threaded batch path executes compiled microprograms.
+        // Some dual-channel programs carry synth ops: threaded batches
+        // across two channels execute compiled microprograms.
         assert!(programs.iter().any(|p| {
             p.geometry == GeometryKind::TinyDual
                 && p.ops.iter().any(|o| matches!(o, ProgOp::Synth { .. }))

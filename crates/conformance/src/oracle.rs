@@ -166,10 +166,9 @@ fn build_memory(program: &Program, forced_scalar: bool) -> AmbitMemory {
             }
         }
     }
-    // Force a multi-worker pool so the batch_threaded path exercises the
-    // channel-sharded timing pass (and the pool's merge machinery) even on
-    // single-core CI hosts, where the default pool would degrade it to the
-    // serial BankParallel code path.
+    // Force a four-thread budget so the batch_threaded path runs its
+    // scoped-thread fan-out even on single-core CI hosts, where the
+    // default budget would degrade it to the plain BankParallel code path.
     mem.set_pool_threads(4);
     mem.controller_mut().timer_mut().set_tracing(true);
     mem

@@ -6,19 +6,14 @@ use std::collections::HashSet;
 
 use ambit_dram::{
     AapMode, Bank, BankId, BitRow, CampaignTick, CommandTimer, DramDevice, DramError,
-    DramGeometry, EnergyModel, FaultCampaign, RefreshScheduler, TimerShard, TimingParams,
-    TraceEntry,
+    DramGeometry, EnergyModel, FaultCampaign, RefreshScheduler, TimingParams,
 };
 use ambit_telemetry::Registry;
 
 use crate::addressing::{RowAddress, SubarrayLayout};
 use crate::error::{AmbitError, Result};
+use crate::fanout::{Fanout, Job};
 use crate::ops::{compile, AmbitCmd, BitwiseOp};
-use crate::pool::ExecutorPool;
-
-/// One channel lane's timing output: `(chunk index, receipt + trace-entry
-/// count)` pairs appended by that lane's shard job.
-type LaneTimings = Vec<(usize, Result<(OpReceipt, usize)>)>;
 
 /// Timing/energy receipt for one executed command program.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -269,6 +264,9 @@ impl AmbitController {
     /// keep intermediates in the designated rows (e.g. BitWeaving's
     /// predicate evaluation).
     ///
+    /// The whole program is timed first and then run on the device, so an
+    /// address or timing error issues no command to the device.
+    ///
     /// # Errors
     ///
     /// Propagates address-decode and DRAM protocol errors.
@@ -278,86 +276,23 @@ impl AmbitController {
         subarray: usize,
         program: &[AmbitCmd],
     ) -> Result<OpReceipt> {
-        let flat = self.timer_index(bank.flat_index(self.device.geometry()), subarray);
         self.ensure_control_rows(bank, subarray);
-        let salp = self.salp;
-
-        // Receipts account the *channel lane's* energy delta, not the
-        // device total: with per-channel energy accumulators a program's
-        // delta is a pure function of its own lane's command sequence, so
-        // the channel-sharded timing pass reproduces it bit-exactly. On
-        // single-channel geometries lane 0 is the device total anyway.
-        let energy_before = self.timer.bank_energy_nj(flat);
-        let mut start_ps = None;
-        let mut end_ps = 0;
-        let mut aaps = 0;
-        let mut aps = 0;
-
-        for cmd in program {
-            match *cmd {
-                AmbitCmd::Aap(a1, a2) => {
-                    let wl1 = self.layout.decode(a1)?;
-                    let wl2 = self.layout.decode(a2)?;
-                    {
-                        let b = self.device.bank_mut(bank);
-                        b.activate(subarray, &wl1)?;
-                        b.activate(subarray, &wl2)?;
-                        if salp {
-                            b.precharge_subarray(subarray)?;
-                        } else {
-                            b.precharge()?;
-                        }
-                    }
-                    let (s, e) = self.timer.aap_tagged(
-                        flat,
-                        (wl1.len(), wl1.first().map(|w| w.row)),
-                        (wl2.len(), wl2.first().map(|w| w.row)),
-                    )?;
-                    start_ps.get_or_insert(s);
-                    end_ps = e;
-                    aaps += 1;
-                }
-                AmbitCmd::Ap(a) => {
-                    let wl = self.layout.decode(a)?;
-                    {
-                        let b = self.device.bank_mut(bank);
-                        b.activate(subarray, &wl)?;
-                        if salp {
-                            b.precharge_subarray(subarray)?;
-                        } else {
-                            b.precharge()?;
-                        }
-                    }
-                    let (s, e) = self.timer.ap_tagged(flat, (wl.len(), wl.first().map(|w| w.row)))?;
-                    start_ps.get_or_insert(s);
-                    end_ps = e;
-                    aps += 1;
-                }
-            }
-        }
-
-        Ok(OpReceipt {
-            start_ps: start_ps.unwrap_or(self.timer.bank_now_ps(flat)),
-            end_ps: end_ps.max(start_ps.unwrap_or(0)),
-            energy_nj: self.timer.bank_energy_nj(flat) - energy_before,
-            aaps,
-            aps,
-        })
+        let receipt = self.time_program(bank, subarray, program)?;
+        let b = self.device.bank_mut(bank);
+        run_program_on_bank(b, &self.layout, self.salp, subarray, program)?;
+        Ok(receipt)
     }
 
-    /// Timer-only replay of a command program: issues exactly the
-    /// AAP/AP timing sequence [`run_program`](Self::run_program) would —
-    /// same pipeline index, same wordline tags, same order — without
-    /// touching the functional device.
+    /// Timing half of [`run_program`](Self::run_program): issues the
+    /// program's AAP/AP sequence on the command timer without touching the
+    /// functional device.
     ///
-    /// The threaded batch path splits `run_program` in two: this timing
-    /// pass runs on the submitting thread — or, when a batch wave spans
-    /// multiple channels, one shard per channel via
-    /// [`time_chunks_sharded`](Self::time_chunks_sharded) — while the
-    /// functional half ([`run_bank_queues`](Self::run_bank_queues)) fans
-    /// out across banks on pool workers. Because the timer calls here are
-    /// byte-for-byte the ones the serial path makes, receipts, traces, and
-    /// timer telemetry are identical by construction.
+    /// The threaded batch path times every chunk with this on the
+    /// submitting thread, in the order `BankParallel` issues them, and
+    /// leaves the functional half to
+    /// [`run_bank_queues`](Self::run_bank_queues). The timer calls are the
+    /// ones `run_program` makes, so receipts, traces, and timer telemetry
+    /// are identical by construction.
     ///
     /// # Errors
     ///
@@ -372,150 +307,13 @@ impl AmbitController {
         time_program_on(&mut self.timer, &self.layout, flat, program)
     }
 
-    /// Channel-sharded timing pass over one wave of chunks, each
-    /// `(bank, subarray, program)` in serial issue order. Chunks whose
-    /// timing pipelines share a channel lane are timed in serial order on
-    /// one [`TimerShard`]; distinct lanes run concurrently on `pool`
-    /// workers. Per-lane clocks, buses, tRRD/tFAW windows, and energy
-    /// accumulators (see [`CommandTimer`]) make each lane's timestamps a
-    /// pure function of its own command sequence, so the merged receipts,
-    /// trace, stats, and timer state are byte-identical to timing the same
-    /// chunks serially — which the single-lane fast path below literally
-    /// does.
-    ///
-    /// Each chunk's timing starts from the precharged state
-    /// ([`close_open_row`](Self::close_open_row) semantics, replayed on the
-    /// shard).
-    ///
-    /// # Errors
-    ///
-    /// Surfaces the first failing chunk's error in serial chunk order. On
-    /// error no shard is merged back: the timer keeps its pre-wave state
-    /// (the serial path would have partially advanced it — but a failed
-    /// batch surfaces the error and discards timing either way).
-    pub(crate) fn time_chunks_sharded(
-        &mut self,
-        chunks: &[(BankId, usize, &[AmbitCmd])],
-        pool: &ExecutorPool,
-    ) -> Result<Vec<OpReceipt>> {
-        let geometry = *self.device.geometry();
-        let flats: Vec<usize> = chunks
-            .iter()
-            .map(|&(bank, subarray, _)| self.timer_index(bank.flat_index(&geometry), subarray))
-            .collect();
-        let lanes: Vec<usize> = flats.iter().map(|&f| self.timer.lane_of(f)).collect();
-        let mut active = lanes.clone();
-        active.sort_unstable();
-        active.dedup();
-
-        if active.len() <= 1 || pool.target_workers() < 2 {
-            let mut receipts = Vec::with_capacity(chunks.len());
-            for (&(_, _, program), &flat) in chunks.iter().zip(&flats) {
-                if self.timer.bank_active(flat) {
-                    self.timer.issue_precharge(flat)?;
-                }
-                receipts.push(time_program_on(&mut self.timer, &self.layout, flat, program)?);
-            }
-            return Ok(receipts);
-        }
-
-        let mut shards: Vec<TimerShard> = active
-            .iter()
-            .map(|&lane| self.timer.fork_channel_shard(lane))
-            .collect();
-        let mut lane_chunks: Vec<Vec<usize>> = vec![Vec::new(); active.len()];
-        for (idx, &lane) in lanes.iter().enumerate() {
-            let pos = active.binary_search(&lane).expect("lane in active set");
-            lane_chunks[pos].push(idx);
-        }
-
-        // Each lane job appends `(chunk index, receipt + trace-entry count)`
-        // to its own output vector — disjoint slots, no synchronization.
-        let mut lane_outputs: Vec<LaneTimings> = vec![Vec::new(); active.len()];
-        {
-            let layout = &self.layout;
-            let flats = &flats;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = shards
-                .iter_mut()
-                .zip(lane_outputs.iter_mut())
-                .zip(lane_chunks.iter())
-                .map(|((shard, out), idxs)| {
-                    Box::new(move || {
-                        for &idx in idxs {
-                            let (_, _, program) = chunks[idx];
-                            let flat = flats[idx];
-                            let trace_before = shard.trace_len();
-                            let timed = (|| {
-                                let t = shard.timer_mut();
-                                if t.bank_active(flat) {
-                                    t.issue_precharge(flat)?;
-                                }
-                                time_program_on(t, layout, flat, program)
-                            })();
-                            let failed = timed.is_err();
-                            out.push((
-                                idx,
-                                timed.map(|r| (r, shard.trace_len() - trace_before)),
-                            ));
-                            if failed {
-                                break;
-                            }
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_scoped(jobs)?;
-        }
-
-        let mut per_chunk: Vec<Option<(OpReceipt, usize)>> = vec![None; chunks.len()];
-        let mut first_err: Option<(usize, AmbitError)> = None;
-        for outputs in &lane_outputs {
-            for (idx, res) in outputs {
-                match res {
-                    Ok(v) => per_chunk[*idx] = Some(*v),
-                    Err(e) => {
-                        if first_err.as_ref().is_none_or(|(i, _)| idx < i) {
-                            first_err = Some((*idx, e.clone()));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-
-        // Merge: absorb lane state in ascending lane order, then stitch the
-        // per-lane delta traces back into serial chunk order (each chunk's
-        // entries are contiguous in its lane's delta because lanes process
-        // their chunks in ascending serial index).
-        let mut lane_traces: Vec<std::collections::VecDeque<TraceEntry>> = shards
-            .into_iter()
-            .map(|shard| self.timer.absorb_channel_shard(shard).into())
-            .collect();
-        let mut merged: Vec<TraceEntry> = Vec::new();
-        let mut receipts = Vec::with_capacity(chunks.len());
-        for (idx, slot) in per_chunk.into_iter().enumerate() {
-            let (receipt, trace_count) = slot.expect("every chunk timed");
-            let pos = active
-                .binary_search(&lanes[idx])
-                .expect("lane in active set");
-            for _ in 0..trace_count {
-                merged.push(lane_traces[pos].pop_front().expect("trace entry per count"));
-            }
-            receipts.push(receipt);
-        }
-        self.timer.append_trace_entries(&merged);
-        Ok(receipts)
-    }
-
-    /// Device-only execution of per-bank program queues on the persistent
-    /// executor pool — the functional half of the threaded batch path.
-    /// `queues[flat_bank]` holds `(subarray, program)` pairs in the order
-    /// the serial path would have run them; within one bank that order is
-    /// preserved exactly, and banks share no functional state, so the final
-    /// device image (including per-subarray stats and RNG streams) is
-    /// byte-identical to serial execution.
+    /// Device-only execution of per-bank program queues, one [`Fanout`]
+    /// job per bank with work — the functional half of the threaded batch
+    /// path. `queues[flat_bank]` holds `(subarray, program)` pairs in the
+    /// order the serial path would have run them; within one bank that
+    /// order is preserved exactly, and banks share no functional state, so
+    /// the final device image (including per-subarray stats and RNG
+    /// streams) is byte-identical to serial execution.
     ///
     /// Control rows are lazily-initialized shared state, so they are
     /// prepared serially here before any job is submitted.
@@ -523,28 +321,24 @@ impl AmbitController {
     /// # Errors
     ///
     /// Surfaces the failing bank's error deterministically in flat-bank
-    /// order, not job completion order. A worker panic surfaces as
+    /// order, not job completion order. A panicking job surfaces as
     /// [`AmbitError::ExecutorPanicked`] instead of aborting the process.
     pub(crate) fn run_bank_queues(
         &mut self,
         queues: &[Vec<(usize, &[AmbitCmd])>],
-        pool: &ExecutorPool,
+        fanout: &mut Fanout,
     ) -> Result<()> {
-        let bits = self.row_bits();
+        let geometry = *self.device.geometry();
         for (flat, queue) in queues.iter().enumerate() {
             for &(subarray, _) in queue {
-                if self.control_ready.insert((flat, subarray)) {
-                    let sa = self.device.banks_mut()[flat].subarray_mut(subarray);
-                    sa.poke_row(crate::addressing::ROW_C0, BitRow::zeros(bits));
-                    sa.poke_row(crate::addressing::ROW_C1, BitRow::ones(bits));
-                }
+                self.ensure_control_rows(BankId::from_flat_index(flat, &geometry), subarray);
             }
         }
         let salp = self.salp;
         let layout = &self.layout;
         let banks = self.device.banks_mut();
         let mut results: Vec<Result<()>> = (0..queues.len()).map(|_| Ok(())).collect();
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = banks
+        let jobs: Vec<Job<'_>> = banks
             .iter_mut()
             .zip(queues)
             .zip(results.iter_mut())
@@ -554,10 +348,10 @@ impl AmbitController {
                     *slot = queue.iter().try_for_each(|&(subarray, program)| {
                         run_program_on_bank(bank, layout, salp, subarray, program)
                     });
-                }) as Box<dyn FnOnce() + Send + '_>
+                }) as Job<'_>
             })
             .collect();
-        pool.run_scoped(jobs)?;
+        fanout.run(jobs)?;
         results.into_iter().collect()
     }
 
@@ -670,14 +464,10 @@ impl AmbitController {
     }
 }
 
-/// Times one command program on `timer` pipeline `flat` — the timing half
-/// of [`AmbitController::run_program`], shared verbatim by the serial path
-/// (`time_program`) and by per-channel [`TimerShard`]s in
-/// `time_chunks_sharded`, so both issue the identical call sequence. The
-/// receipt's energy is the pipeline's channel-lane delta
-/// ([`CommandTimer::bank_energy_nj`]), exact under sharding because each
-/// lane owns its accumulator.
-pub(crate) fn time_program_on(
+/// Times one command program on `timer` pipeline `flat`. The receipt's
+/// energy is the pipeline's channel-lane delta
+/// ([`CommandTimer::bank_energy_nj`]).
+fn time_program_on(
     timer: &mut CommandTimer,
     layout: &SubarrayLayout,
     flat: usize,
@@ -723,14 +513,13 @@ pub(crate) fn time_program_on(
 }
 
 /// Executes one command program against a single bank's functional state —
-/// the device half of [`AmbitController::run_program`] with the timing half
-/// stripped out. A free function over `&mut Bank` so the threaded batch
-/// path can hand disjoint banks to distinct OS threads while the borrow
-/// checker proves the ownership split is race-free. Must mutate the bank in
-/// exactly the order `run_program` does (activate, activate, precharge per
-/// AAP; activate, precharge per AP) or threaded execution stops being
-/// byte-identical to serial.
-pub(crate) fn run_program_on_bank(
+/// the device half of [`AmbitController::run_program`]. A free function over
+/// `&mut Bank` so the threaded batch path can hand disjoint banks to
+/// distinct OS threads while the borrow checker proves the ownership split
+/// is race-free. Banks share no state with the timer, and each subarray
+/// owns its RNG stream, so running this after the timing half (or on
+/// another thread) leaves the same device image.
+fn run_program_on_bank(
     bank: &mut Bank,
     layout: &SubarrayLayout,
     salp: bool,

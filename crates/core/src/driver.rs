@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use ambit_dram::{
     AapMode, BankId, BitRow, CampaignTick, CellFault, DramGeometry, FaultCampaign,
@@ -29,8 +29,8 @@ use crate::batch::{BatchBuilder, BatchOp, BatchReceipt, IssuePolicy};
 use crate::compiler::{compile_fold, fold_supported};
 use crate::controller::{AmbitController, OpReceipt};
 use crate::error::{AmbitError, Result};
+use crate::fanout::{Fanout, PoolStats};
 use crate::ops::{compile, compile_majority, AmbitCmd, BitwiseOp};
-use crate::pool::{ExecutorPool, PoolStats};
 
 /// Opaque handle to an allocated Ambit bitvector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,13 +172,11 @@ pub struct AmbitMemory {
     /// readers of a shared `&AmbitMemory` never race.
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
-    /// Persistent worker pool for `BankParallelThreaded` batches: reused
-    /// across every batch this memory executes (both the channel-sharded
-    /// timing pass and the per-bank functional pass), replacing the
-    /// per-batch `thread::scope` spawns that made the threaded path lose
-    /// wall-clock to serial. Workers spawn lazily on first use; sized from
-    /// `available_parallelism` (override: `AMBIT_POOL_THREADS`).
-    pool: ExecutorPool,
+    /// Thread budget and counters for the functional pass of
+    /// `BankParallelThreaded` batches, sized from `available_parallelism`
+    /// (override: `AMBIT_POOL_THREADS` or `set_pool_threads`). Threads are
+    /// scoped to one batch; none stays alive between batches.
+    pool: Fanout,
 }
 
 /// Cached telemetry handles for the driver's per-operation view.
@@ -350,7 +348,7 @@ impl AmbitMemory {
             plan_cache: Mutex::new(HashMap::new()),
             plan_cache_hits: AtomicU64::new(0),
             plan_cache_misses: AtomicU64::new(0),
-            pool: ExecutorPool::with_default_size(),
+            pool: Fanout::with_default_size(),
         }
     }
 
@@ -409,20 +407,20 @@ impl AmbitMemory {
         self.ctrl.timer().energy().total_nj()
     }
 
-    /// Activity counters of the persistent executor pool backing
-    /// [`IssuePolicy::BankParallelThreaded`] batches: worker reuse vs cold
-    /// spawns is the wall-clock win the pool exists for.
+    /// Activity counters of the scoped-thread fan-out behind
+    /// [`IssuePolicy::BankParallelThreaded`] batches: jobs run threaded or
+    /// inline, threads spawned, and caught panics.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
 
-    /// Replaces the executor pool with one bounded to `threads` workers
-    /// (the old pool's workers shut down gracefully; its counters reset).
-    /// With `threads == 1` the driver degrades
-    /// [`IssuePolicy::BankParallelThreaded`] to plain `BankParallel` — the
+    /// Sets the thread budget of [`IssuePolicy::BankParallelThreaded`]
+    /// batches to `threads` (at least 1, caller included) and resets the
+    /// [`pool_stats`](Self::pool_stats) counters. With `threads == 1` the
+    /// driver runs `BankParallelThreaded` as plain `BankParallel` — the
     /// same degradation a one-core host gets automatically.
     pub fn set_pool_threads(&mut self, threads: usize) {
-        self.pool = ExecutorPool::new(threads);
+        self.pool = Fanout::new(threads);
         if let Some(tel) = &self.telemetry {
             self.pool.set_telemetry(&tel.registry);
         }
@@ -918,10 +916,13 @@ impl AmbitMemory {
     /// the clock past each op before issuing the next (the baseline the
     /// bank-parallel speedup is measured against);
     /// [`IssuePolicy::BankParallelThreaded`] keeps `BankParallel`'s
-    /// simulated-time semantics but runs the functional work on one OS
-    /// thread per bank, so wall-clock time also scales with cores (it
-    /// falls back to `BankParallel` while transient TRA faults are armed,
-    /// keeping the pinned per-bit RNG streams). Results are bit-identical
+    /// simulated-time semantics but spreads the per-bank functional work
+    /// across scoped OS threads, so wall-clock time also scales with cores
+    /// (it falls back to `BankParallel` while transient TRA faults are
+    /// armed, keeping the pinned per-bit RNG streams, and on a one-thread
+    /// budget). Every batch increments
+    /// `ambit_batch_path_total{path, reason}` with the path it took and
+    /// why. Results are bit-identical
     /// across policies: ops within a wave touch disjoint destinations, so
     /// functional order is immaterial.
     ///
@@ -979,82 +980,66 @@ impl AmbitMemory {
             .map(|b| self.ctrl.timer().bank_busy_ps(b))
             .collect();
 
-        // The threaded policy splits execution in two: a timing pass
-        // (serial, or channel-sharded when a wave spans multiple channels)
-        // issuing exactly the command sequence the plain bank-parallel path
-        // issues, then a parallel functional pass over per-bank queues.
-        // Two degradations keep it byte-identical and never slower:
-        // fault-armed devices fall back to the single-phase path so charge
-        // shares consume each subarray's pinned per-bit RNG stream through
-        // the one code path it was pinned against (see
-        // `IssuePolicy::BankParallelThreaded`), and a single-worker pool
-        // (one-core host, or `AMBIT_POOL_THREADS=1`) degrades to plain
-        // `BankParallel` — with no second core there is only spawn overhead
-        // to pay.
-        let threaded = policy == IssuePolicy::BankParallelThreaded
-            && self.pool.target_workers() >= 2
-            && !self.ctrl.device().tra_fault_armed();
+        // The threaded policy splits execution in two: a timing pass that
+        // issues exactly the command sequence the plain bank-parallel path
+        // issues, then a functional pass over per-bank queues spread across
+        // threads. It runs as plain `BankParallel` on a fault-armed device
+        // (charge shares then consume each subarray's pinned per-bit RNG
+        // stream through the one code path it was pinned against, see
+        // `IssuePolicy::BankParallelThreaded`) and on a one-thread budget
+        // (one-core host, or `AMBIT_POOL_THREADS=1`), where there is nothing
+        // to win.
+        let (path, reason) = match policy {
+            IssuePolicy::Serial => ("serial", "requested"),
+            IssuePolicy::BankParallel => ("bank_parallel", "requested"),
+            IssuePolicy::BankParallelThreaded if self.ctrl.device().tra_fault_armed() => {
+                ("bank_parallel", "fault_armed")
+            }
+            IssuePolicy::BankParallelThreaded if self.pool.target_workers() < 2 => {
+                ("bank_parallel", "single_worker")
+            }
+            IssuePolicy::BankParallelThreaded => ("threaded", "requested"),
+        };
+        let threaded = path == "threaded";
+        if let Some(tel) = &self.telemetry {
+            tel.registry
+                .counter(
+                    "ambit_batch_path_total",
+                    "Batches by the issue path they ran on and the reason it was chosen",
+                    &[("path", path), ("reason", reason)],
+                )
+                .inc();
+        }
 
         let mut per_op: Vec<Option<OpReceipt>> = vec![None; batch.len()];
         for wave in &waves {
             let mut wave_end = 0u64;
-            // A fully-elided plan's noop receipt reads `now_ps` at its
-            // mid-wave position in the serial loop; waves containing one
-            // keep the serial path so that timestamp stays byte-identical.
-            let wave_has_noop = wave.iter().any(|&i| plans[i].is_empty());
-            if threaded && traffic.is_none() && !wave_has_noop {
-                // Sharded timing: every chunk of the wave in serial issue
-                // order (op index, then chunk index), timed one shard per
-                // channel and merged back deterministically. Receipts come
-                // back in the same serial order, so absorbing them here is
-                // indistinguishable from the serial loop below.
-                let mut chunk_ops: Vec<usize> = Vec::new();
-                let mut chunks: Vec<(BankId, usize, &[AmbitCmd])> = Vec::new();
-                for &i in wave {
-                    for chunk in &plans[i] {
-                        chunk_ops.push(i);
-                        chunks.push((chunk.bank, chunk.subarray, chunk.program.as_slice()));
+            for &i in wave {
+                let mut op_total: Option<OpReceipt> = None;
+                for chunk in &plans[i] {
+                    if let Some(tr) = traffic.as_deref_mut() {
+                        tr.service_arrived(self.ctrl.timer_mut())?;
+                    }
+                    // Traffic (or prior external use) may have left a row
+                    // open; AAP programs must start precharged.
+                    self.ctrl.close_open_row(chunk.bank, chunk.subarray)?;
+                    let receipt = if threaded {
+                        self.ctrl.time_program(chunk.bank, chunk.subarray, &chunk.program)?
+                    } else {
+                        self.ctrl.run_program(chunk.bank, chunk.subarray, &chunk.program)?
+                    };
+                    match &mut op_total {
+                        Some(t) => t.absorb(&receipt),
+                        None => op_total = Some(receipt),
                     }
                 }
-                let receipts = self.ctrl.time_chunks_sharded(&chunks, &self.pool)?;
-                for (&i, receipt) in chunk_ops.iter().zip(&receipts) {
-                    match &mut per_op[i] {
-                        Some(t) => t.absorb(receipt),
-                        None => per_op[i] = Some(*receipt),
-                    }
+                // A fully-elided plan (self-copy) issues nothing.
+                let receipt = op_total.unwrap_or_else(|| self.noop_receipt());
+                if policy == IssuePolicy::Serial {
+                    self.ctrl.timer_mut().advance_to(receipt.end_ps);
                 }
-                for &i in wave {
-                    let receipt = per_op[i].expect("every wave op has chunks here");
-                    wave_end = wave_end.max(receipt.end_ps);
-                }
-            } else {
-                for &i in wave {
-                    let mut op_total: Option<OpReceipt> = None;
-                    for chunk in &plans[i] {
-                        if let Some(tr) = traffic.as_deref_mut() {
-                            tr.service_arrived(self.ctrl.timer_mut())?;
-                        }
-                        // Traffic (or prior external use) may have left a row
-                        // open; AAP programs must start precharged.
-                        self.ctrl.close_open_row(chunk.bank, chunk.subarray)?;
-                        let receipt = if threaded {
-                            self.ctrl.time_program(chunk.bank, chunk.subarray, &chunk.program)?
-                        } else {
-                            self.ctrl.run_program(chunk.bank, chunk.subarray, &chunk.program)?
-                        };
-                        match &mut op_total {
-                            Some(t) => t.absorb(&receipt),
-                            None => op_total = Some(receipt),
-                        }
-                    }
-                    // A fully-elided plan (self-copy) issues nothing.
-                    let receipt = op_total.unwrap_or_else(|| self.noop_receipt());
-                    if policy == IssuePolicy::Serial {
-                        self.ctrl.timer_mut().advance_to(receipt.end_ps);
-                    }
-                    wave_end = wave_end.max(receipt.end_ps);
-                    per_op[i] = Some(receipt);
-                }
+                wave_end = wave_end.max(receipt.end_ps);
+                per_op[i] = Some(receipt);
             }
             // Wave barrier: dependent ops start only after every producer's
             // final precharge has completed.
@@ -1069,10 +1054,10 @@ impl AmbitMemory {
         if threaded {
             // Functional pass: queue every chunk program on its bank in the
             // order the serial path would have run it (wave, then op index,
-            // then chunk index), and fan the queues out one pool job per
-            // bank. Co-location guarantees every program only touches its
-            // own (bank, subarray), so per-bank FIFO order is the only
-            // ordering the device can observe.
+            // then chunk index), and fan the queues out one job per bank.
+            // Co-location guarantees every program only touches its own
+            // (bank, subarray), so per-bank FIFO order is the only ordering
+            // the device can observe.
             let geometry = *self.ctrl.geometry();
             let mut queues: Vec<Vec<(usize, &[AmbitCmd])>> =
                 vec![Vec::new(); geometry.total_banks()];
@@ -1084,7 +1069,7 @@ impl AmbitMemory {
                     }
                 }
             }
-            self.ctrl.run_bank_queues(&queues, &self.pool)?;
+            self.ctrl.run_bank_queues(&queues, &mut self.pool)?;
         }
 
         let per_op: Vec<OpReceipt> = per_op
@@ -1124,12 +1109,7 @@ impl AmbitMemory {
     /// Failed plans are not cached: an op that validated badly once is
     /// recompiled (and re-fails) on retry, so error reporting stays exact.
     fn plan_op(&self, entry: &BatchOp) -> Result<Vec<ChunkProgram>> {
-        let cached = self
-            .plan_cache
-            .lock()
-            .expect("plan cache lock poisoned")
-            .get(entry)
-            .cloned();
+        let cached = self.plan_cache().get(entry).cloned();
         if let Some(hit) = cached {
             self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
             if let Some(tel) = &self.telemetry {
@@ -1147,11 +1127,20 @@ impl AmbitMemory {
         if let Some(tel) = &self.telemetry {
             tel.plan_cache_misses.inc();
         }
-        self.plan_cache
-            .lock()
-            .expect("plan cache lock poisoned")
-            .insert(entry.clone(), chunks.clone());
+        self.plan_cache().insert(entry.clone(), chunks.clone());
         Ok(chunks)
+    }
+
+    /// The locked plan cache. A thread that panicked while holding the
+    /// lock may have left the map half-updated; the cache is only a memo,
+    /// so recovery clears it and the next lookups recompile.
+    fn plan_cache(&self) -> MutexGuard<'_, HashMap<BatchOp, Vec<ChunkProgram>>> {
+        self.plan_cache.lock().unwrap_or_else(|poisoned| {
+            self.plan_cache.clear_poison();
+            let mut cache = poisoned.into_inner();
+            cache.clear();
+            cache
+        })
     }
 
     /// Plan-cache hit and miss counts since construction (hits, misses).
@@ -1456,10 +1445,7 @@ impl AmbitMemory {
     ///
     /// Returns an unknown-handle error if already freed.
     pub fn free(&mut self, handle: BitVectorHandle) -> Result<()> {
-        self.plan_cache
-            .lock()
-            .expect("plan cache lock poisoned")
-            .retain(|op, _| !op.involves(handle));
+        self.plan_cache().retain(|op, _| !op.involves(handle));
         self.vectors
             .remove(&handle.0)
             .map(|_| ())
@@ -1868,6 +1854,84 @@ mod tests {
         mem.poke_bits(a, &vec![true; bits]).unwrap();
         mem.bitwise(BitwiseOp::Not, a, None, d).unwrap();
         assert_eq!(mem.plan_cache_stats().0, 3, "no hits after the eviction");
+    }
+
+    #[test]
+    fn poisoned_plan_cache_recovers_and_recompiles() {
+        let mut mem = memory();
+        let bits = mem.row_bits();
+        let a = mem.alloc(bits).unwrap();
+        let d = mem.alloc(bits).unwrap();
+        mem.poke_bits(a, &vec![true; bits]).unwrap();
+        mem.bitwise(BitwiseOp::Not, a, None, d).unwrap();
+        assert_eq!(mem.plan_cache_stats(), (0, 1));
+
+        let shared = &mem;
+        let outcome = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = shared.plan_cache.lock().unwrap();
+                panic!("planner died holding the plan cache lock");
+            })
+            .join()
+        });
+        assert!(outcome.is_err());
+        assert!(mem.plan_cache.is_poisoned());
+
+        // The poisoned memo is dropped, not trusted: the repeat op compiles
+        // afresh (a miss, not a hit) and the lock is healthy afterwards.
+        mem.bitwise(BitwiseOp::Not, a, None, d).unwrap();
+        assert_eq!(mem.plan_cache_stats(), (0, 2));
+        assert!(!mem.plan_cache.is_poisoned());
+        assert_eq!(mem.popcount(d).unwrap(), 0);
+        mem.bitwise(BitwiseOp::Not, a, None, d).unwrap();
+        assert_eq!(mem.plan_cache_stats(), (1, 2));
+    }
+
+    #[test]
+    fn panicking_fanout_job_leaves_memory_usable() {
+        let mut threaded = memory();
+        let mut serial = memory();
+        threaded.set_pool_threads(4);
+        let bits = 2 * threaded.row_bits();
+        let mut rng = ChaCha8Rng::seed_from_u64(0x9a41c);
+        let handles: Vec<BitVectorHandle> = (0..4)
+            .map(|_| {
+                let h = threaded.alloc(bits).unwrap();
+                assert_eq!(serial.alloc(bits).unwrap(), h);
+                let data: Vec<bool> = (0..bits).map(|_| rng.gen()).collect();
+                threaded.poke_bits(h, &data).unwrap();
+                serial.poke_bits(h, &data).unwrap();
+                h
+            })
+            .collect();
+
+        let err = threaded
+            .pool
+            .run(vec![Box::new(|| panic!("injected job panic")), Box::new(|| {})])
+            .unwrap_err();
+        assert!(
+            matches!(&err, AmbitError::ExecutorPanicked { message } if message.contains("injected")),
+            "{err}"
+        );
+
+        let mut batch = BatchBuilder::new();
+        batch.bitwise(BitwiseOp::Xor, handles[0], Some(handles[1]), handles[2]);
+        batch.bitwise(BitwiseOp::And, handles[2], Some(handles[0]), handles[3]);
+        batch.bitwise(BitwiseOp::Not, handles[3], None, handles[1]);
+        threaded
+            .execute_batch(&batch, IssuePolicy::BankParallelThreaded)
+            .unwrap();
+        serial.execute_batch(&batch, IssuePolicy::Serial).unwrap();
+        for &h in &handles {
+            assert_eq!(threaded.peek_bits(h).unwrap(), serial.peek_bits(h).unwrap());
+        }
+        assert_eq!(
+            threaded.controller().device().stats(),
+            serial.controller().device().stats()
+        );
+        let stats = threaded.pool_stats();
+        assert_eq!(stats.worker_panics, 1);
+        assert!(stats.jobs_executed > 2, "the batch fanned out after the panic: {stats:?}");
     }
 
     #[test]

@@ -104,10 +104,11 @@ pub enum AmbitError {
         /// What was wrong with the profile.
         reason: &'static str,
     },
-    /// A job running on the persistent [`ExecutorPool`](crate::ExecutorPool)
-    /// panicked. The panic was caught on the worker thread (the pool stays
-    /// usable) and its payload is carried here instead of aborting the
-    /// process.
+    /// A job of a threaded batch's functional pass
+    /// ([`IssuePolicy::BankParallelThreaded`](crate::IssuePolicy::BankParallelThreaded))
+    /// panicked. The panic was caught on the thread that ran the job, the
+    /// other jobs still ran, and the payload is carried here instead of
+    /// aborting the process; the memory stays usable.
     ExecutorPanicked {
         /// The panic payload, stringified.
         message: String,
@@ -179,7 +180,7 @@ impl fmt::Display for AmbitError {
                 write!(f, "placement profile rejected: {reason}")
             }
             AmbitError::ExecutorPanicked { message } => {
-                write!(f, "executor pool job panicked: {message}")
+                write!(f, "threaded batch job panicked: {message}")
             }
             AmbitError::Synthesis { detail } => {
                 write!(f, "boolean synthesis failed: {detail}")

@@ -45,6 +45,7 @@
 //! # Ok::<(), ambit_core::AmbitError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -55,10 +56,10 @@ mod controller;
 mod driver;
 pub mod ecc;
 mod error;
+mod fanout;
 pub mod isa;
 pub mod ops;
 mod physmap;
-mod pool;
 pub mod resilient;
 pub mod synth;
 mod throughput;
@@ -69,6 +70,7 @@ pub use compiler::{compile_fold, fold_savings, fold_supported};
 pub use controller::{AmbitController, OpReceipt};
 pub use driver::{AllocGroup, AmbitMemory, BadRowEntry, BitVectorHandle, PlacementProfile};
 pub use error::{AmbitError, Result};
+pub use fanout::PoolStats;
 pub use ecc::{bitwise_tmr, TmrVector, VotedRead};
 pub use resilient::{
     RecoveryReport, ResilienceConfig, ResilientConfig, ResilientExecutor, ResilientHandle,
@@ -80,5 +82,4 @@ pub use synth::{
     synthesize, synthesize_exprs, BoolFunc, Expr, SlotRef, SynthOptions, SynthProgram, SynthStats,
     SynthStep,
 };
-pub use pool::{ExecutorPool, PoolStats};
 pub use throughput::AmbitConfig;

@@ -60,7 +60,7 @@ pub use campaign::{
     CampaignConfig, CampaignTick, FaultCampaign, StuckCell, SubarrayFaultPlan,
 };
 pub use controller::{
-    CommandTimer, TimerShard, TimerStats, TraceCommand, TraceEntry, DEFAULT_TRACE_CAPACITY,
+    CommandTimer, TimerStats, TraceCommand, TraceEntry, DEFAULT_TRACE_CAPACITY,
 };
 pub use device::DramDevice;
 pub use energy::{EnergyAccount, EnergyModel};

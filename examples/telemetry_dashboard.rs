@@ -16,18 +16,18 @@
 //!   activations resolved word-parallel versus through the bit-serial
 //!   scalar reference (fault-armed subarrays, like this campaign's, pin
 //!   to the scalar path for replay determinism),
-//! * `ambit_pool_*` counters from the persistent executor pool behind the
-//!   OS-threaded batch path: jobs executed, cold worker spawns versus warm
-//!   dispatches onto already-running workers, and the queue-wait
-//!   histogram,
+//! * `ambit_batch_path_total{path, reason}`: which issue path each batch
+//!   ran on and why — the threaded path as requested, or plain
+//!   bank-parallel issue because the device is fault-armed or the thread
+//!   budget is one — next to the `ambit_pool_*` counters of the threaded
+//!   path's scoped-thread fan-out (jobs, threads spawned, queue wait),
 //! * the analytic Figure 9 envelope as gauges, for comparison on the same
 //!   scrape.
 //!
 //! Everything downstream of the device model is denominated in *simulated*
 //! DRAM time, so those metrics are bit-for-bit reproducible. The
-//! `ambit_pool_*` scheduling metrics are the one exception: worker spawn
-//! versus reuse and queue-wait times are real OS-scheduler behavior and
-//! may shift between runs. Run with:
+//! `ambit_pool_queue_wait_us` histogram is the one exception: it times
+//! real OS threads and shifts between runs. Run with:
 //! `cargo run --release --example telemetry_dashboard`
 
 use ambit_repro::core::{
@@ -92,13 +92,12 @@ fn main() -> Result<(), AmbitError> {
     exec.bitwise(BitwiseOp::Or, a, Some(b), out)?;
     exec.bitwise(BitwiseOp::Xor, a, Some(b), out)?;
 
-    // Phase 4: the persistent executor pool behind the OS-threaded batch
-    // path. Force a multi-worker pool so the phase behaves the same on a
-    // single-core host (where the default pool would degrade threaded
-    // issue to the serial path and leave the counters at zero), then run
-    // two threaded batches back to back — the second is served entirely by
-    // warm workers, which is the reuse `ambit_pool_warm_dispatches_total`
-    // exists to show.
+    // Phase 4: batch path selection. The same batch runs four times, and
+    // each run lands on a different `ambit_batch_path_total{path, reason}`
+    // series: threaded as requested (a four-thread budget, so the phase
+    // behaves the same on a one-core host), bank-parallel as requested,
+    // bank-parallel because the thread budget is one, and bank-parallel
+    // because transient TRA faults are armed.
     let mut batch_mem =
         AmbitMemory::new(geometry, TimingParams::ddr3_1600(), AapMode::Overlapped);
     batch_mem.set_pool_threads(4);
@@ -106,29 +105,23 @@ fn main() -> Result<(), AmbitError> {
     let row = batch_mem.row_bits();
     // One operand triple per bank (groups stripe across banks), so each
     // wave carries two independent chunks and genuinely fans out.
-    let mut lanes = Vec::new();
+    let mut batch = BatchBuilder::new();
     for g in 0..2 {
         let x = batch_mem.alloc_in_group(row, AllocGroup(g))?;
         let y = batch_mem.alloc_in_group(row, AllocGroup(g))?;
         let z = batch_mem.alloc_in_group(row, AllocGroup(g))?;
         batch_mem.write_bits(x, &(0..row).map(|i| i % 2 == 0).collect::<Vec<_>>())?;
         batch_mem.write_bits(y, &(0..row).map(|i| i % 5 == 0).collect::<Vec<_>>())?;
-        lanes.push((x, y, z));
+        batch.bitwise(BitwiseOp::And, x, Some(y), z);
+        batch.bitwise(BitwiseOp::Xor, x, Some(y), z);
     }
-    for round in 0..2 {
-        if round > 0 {
-            // Give the workers a moment to park between batches so the
-            // second round is served warm instead of racing the workers
-            // back to the idle queue.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        let mut batch = BatchBuilder::new();
-        for &(x, y, z) in &lanes {
-            batch.bitwise(BitwiseOp::And, x, Some(y), z);
-            batch.bitwise(BitwiseOp::Xor, x, Some(y), z);
-        }
-        batch_mem.execute_batch(&batch, IssuePolicy::BankParallelThreaded)?;
-    }
+    batch_mem.execute_batch(&batch, IssuePolicy::BankParallelThreaded)?;
+    batch_mem.execute_batch(&batch, IssuePolicy::BankParallel)?;
+    batch_mem.set_pool_threads(1);
+    batch_mem.execute_batch(&batch, IssuePolicy::BankParallelThreaded)?;
+    batch_mem.set_pool_threads(4);
+    batch_mem.set_tra_fault_rate(0.0005)?;
+    batch_mem.execute_batch(&batch, IssuePolicy::BankParallelThreaded)?;
 
     // Overlay the analytic Figure 9 envelope on the same registry.
     AmbitConfig::ddr3_module().export_telemetry(&registry)?;
@@ -144,6 +137,18 @@ fn main() -> Result<(), AmbitError> {
         report.cpu_fallbacks,
         report.degraded
     );
+    println!("# batch paths (ambit_batch_path_total):");
+    for (path, reason) in [
+        ("threaded", "requested"),
+        ("bank_parallel", "requested"),
+        ("bank_parallel", "single_worker"),
+        ("bank_parallel", "fault_armed"),
+    ] {
+        let n = registry
+            .counter_value("ambit_batch_path_total", &[("path", path), ("reason", reason)])
+            .unwrap_or(0);
+        println!("#   path={path} reason={reason}: {n}");
+    }
     println!();
     print!("{}", registry.render_prometheus());
 
