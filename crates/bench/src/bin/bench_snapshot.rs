@@ -35,11 +35,12 @@
 //!   mixes {tra, copy, mixed} over the word-parallel charge-share fast
 //!   path versus the forced bit-serial scalar reference
 //!   ([`ambit_dram::Subarray::set_scalar_reference`]), plus one
-//!   fault-armed point (which must fall back to the scalar path for replay
-//!   determinism) and a driver plan-cache hit-rate measurement. Writes
-//!   `BENCH_hotpath.json` (override: `AMBIT_BENCH_HOTPATH_SNAPSHOT`) and
-//!   self-validates a ≥10× wall-clock speedup on fault-free 8 KB-row TRA
-//!   with byte-identical results everywhere.
+//!   fault-armed point (word kernel plus per-bitline fault draws against
+//!   the scalar loop drawing the same stream) and a driver plan-cache
+//!   hit-rate measurement. Writes `BENCH_hotpath.json` (override:
+//!   `AMBIT_BENCH_HOTPATH_SNAPSHOT`) and self-validates a ≥10× wall-clock
+//!   speedup on fault-free 8 KB-row TRA, ≥2× on fault-armed 8 KB-row TRA,
+//!   and byte-identical results everywhere.
 //! * `bench_snapshot --validate-hotpath <path>` re-checks a previously
 //!   written hotpath snapshot.
 //!
@@ -626,6 +627,11 @@ fn validate_batch_snapshot(text: &str) -> Result<(usize, Vec<String>), Vec<Strin
 /// rows.
 const TRA_SPEEDUP_FLOOR: f64 = 10.0;
 
+/// Required wall-clock speedup on fault-armed 8 KB TRA: the word kernel
+/// plus the per-bitline fault draw against the bit-serial loop making the
+/// same draws. The draws bound the gain well below the fault-free one.
+const ARMED_TRA_SPEEDUP_FLOOR: f64 = 2.0;
+
 /// Coarse absolute regression floor on fast-path TRA throughput at 8 KB
 /// rows: three orders of magnitude below what a release build measures, so
 /// it only trips on a genuine fast-path regression (e.g. falling back to
@@ -828,7 +834,8 @@ fn render_hotpath_snapshot(
 
 /// Validates a hotpath snapshot: schema marker, per-entry fields, byte
 /// identity everywhere, the ≥[`TRA_SPEEDUP_FLOOR`] fast-path speedup and
-/// the [`HOTPATH_OPS_FLOOR`] absolute floor on fault-free 8 KB TRA, and the
+/// the [`HOTPATH_OPS_FLOOR`] absolute floor on fault-free 8 KB TRA, the
+/// ≥[`ARMED_TRA_SPEEDUP_FLOOR`] speedup on fault-armed 8 KB TRA, and the
 /// plan-cache hit rate.
 fn validate_hotpath_snapshot(text: &str) -> Result<usize, Vec<String>> {
     let mut errors = Vec::new();
@@ -847,6 +854,7 @@ fn validate_hotpath_snapshot(text: &str) -> Result<usize, Vec<String>> {
         errors.push("\"sweep\" is empty".into());
     }
     let mut tra_8k_checked = false;
+    let mut armed_tra_8k_checked = false;
     for (i, entry) in sweep.iter().enumerate() {
         let mix = entry.get("mix").and_then(Json::as_str).unwrap_or("?");
         let row_bytes = entry.get("row_bytes").and_then(Json::as_u64).unwrap_or(0);
@@ -870,6 +878,16 @@ fn validate_hotpath_snapshot(text: &str) -> Result<usize, Vec<String>> {
             )),
         }
         let fault_armed = matches!(entry.get("fault_armed"), Some(Json::Bool(true)));
+        if mix == "tra" && fault_armed && row_bytes == 8192 {
+            armed_tra_8k_checked = true;
+            if let Some(speedup) = entry.get("speedup").and_then(Json::as_f64) {
+                if speedup < ARMED_TRA_SPEEDUP_FLOOR {
+                    errors.push(format!(
+                        "sweep[{i}]: fault-armed 8 KB TRA speedup {speedup:.2}x below the {ARMED_TRA_SPEEDUP_FLOOR:.0}x floor"
+                    ));
+                }
+            }
+        }
         if mix == "tra" && !fault_armed && row_bytes == 8192 {
             tra_8k_checked = true;
             if let Some(speedup) = entry.get("speedup").and_then(Json::as_f64) {
@@ -890,6 +908,9 @@ fn validate_hotpath_snapshot(text: &str) -> Result<usize, Vec<String>> {
     }
     if !tra_8k_checked {
         errors.push("sweep has no fault-free 8 KB TRA entry to hold to the speedup floor".into());
+    }
+    if !armed_tra_8k_checked {
+        errors.push("sweep has no fault-armed 8 KB TRA entry to hold to the speedup floor".into());
     }
     match doc.get("plan_cache").and_then(|p| p.get("hit_rate")).and_then(Json::as_f64) {
         Some(rate) if rate >= PLAN_CACHE_HIT_RATE_FLOOR => {}
@@ -918,8 +939,9 @@ fn hotpath_main() -> ExitCode {
             results.push(measure_hotpath(row_bytes, mix, reps_tra, 0.0));
         }
     }
-    // A fault-armed subarray must fall back to the scalar reference so the
-    // deterministic per-bit flip stream replays unchanged.
+    // Fault-armed: the word kernel plus one fault draw per bitline against
+    // the bit-serial loop drawing the same stream; the final states must
+    // match bit for bit.
     results.push(measure_hotpath(8192, "tra", reps_tra, 0.001));
     let plan_cache = measure_plan_cache(reps_cache);
 
@@ -955,7 +977,7 @@ fn hotpath_main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "wrote {path} (8 KB TRA fast path >= {TRA_SPEEDUP_FLOOR:.0}x over the scalar reference, byte-identical)"
+        "wrote {path} (8 KB TRA fast path >= {TRA_SPEEDUP_FLOOR:.0}x fault-free and >= {ARMED_TRA_SPEEDUP_FLOOR:.0}x fault-armed over the scalar reference, byte-identical)"
     );
     ExitCode::SUCCESS
 }

@@ -11,12 +11,18 @@
 //! through an illegal command sequence still fails.
 //!
 //! Fault-armed programs (nonzero TRA fault rate) run through the resilient
-//! executor only: the other paths have no recovery story, and the fault
-//! RNG draw streams differ per path, so cross-path byte identity is not a
-//! meaningful property under injected faults. For those, the oracle checks
+//! executor only: the other paths have no recovery story, and each path
+//! issues a different command sequence, so the fault RNG draws land on
+//! different activations and cross-path byte identity is not a meaningful
+//! property under injected faults. For those, the oracle checks
 //! recovered-result correctness (golden equality unless the executor
 //! declared itself degraded) and internal consistency of the recovery
-//! report.
+//! report. The forced-scalar and word-parallel charge shares do share one
+//! draw stream — a fault-armed TRA draws once per bitline, in bitline
+//! order, on either kernel — so every fault-armed program also reruns the
+//! resilient path on a forced-scalar device ([`RESILIENT_SCALAR_PATH`]),
+//! which must match the default run's readback, full recovery report and
+//! command trace exactly.
 //!
 //! Profile-armed programs (a `profile_seed`) work the same way, but the
 //! fault model is a regenerated device characterization map
@@ -30,10 +36,10 @@ use std::collections::BTreeMap;
 use ambit_circuit::{CharacterizationConfig, ChipProfile, CircuitParams};
 use ambit_core::{
     synthesize, AllocGroup, AmbitError, AmbitMemory, BatchBuilder, BitVectorHandle, BoolFunc,
-    IssuePolicy, PlacementProfile, ResilientConfig, ResilientExecutor, SlotRef, SubarrayLayout,
-    SynthOptions, SynthProgram, SynthStep,
+    IssuePolicy, PlacementProfile, RecoveryReport, ResilientConfig, ResilientExecutor, SlotRef,
+    SubarrayLayout, SynthOptions, SynthProgram, SynthStep,
 };
-use ambit_dram::{BankId, CampaignConfig, FaultCampaign};
+use ambit_dram::{BankId, CampaignConfig, FaultCampaign, TraceEntry};
 
 use crate::golden;
 use crate::program::{ProgOp, Program};
@@ -51,6 +57,10 @@ pub const FAULT_FREE_PATHS: [&str; 6] = [
 
 /// The fault-armed path name.
 pub const RESILIENT_PATH: &str = "resilient";
+
+/// The resilient path on a device forced onto the bit-serial scalar
+/// charge share; run for fault-armed programs only.
+pub const RESILIENT_SCALAR_PATH: &str = "resilient_forced_scalar";
 
 /// A test-only divergence seed: after `path` finishes, flip bit `bit` of
 /// vector `vector`'s readback. Used to prove the oracle detects, minimizes,
@@ -106,7 +116,7 @@ pub fn run_oracle(program: &Program, mutation: Option<&Mutation>) -> OracleRepor
     }
 }
 
-fn first_mismatch(got: &[bool], want: &[bool]) -> Option<usize> {
+fn first_mismatch<T: PartialEq>(got: &[T], want: &[T]) -> Option<usize> {
     (0..want.len().max(got.len())).find(|&i| got.get(i) != want.get(i))
 }
 
@@ -475,12 +485,21 @@ fn arm_profile(program: &Program, seed: u64, mem: &mut AmbitMemory) -> Result<Fa
     .map_err(|e| format!("campaign derivation failed: {e}"))
 }
 
+/// What one resilient run leaves behind for the oracle to compare.
+struct ResilientRun {
+    readback: Vec<Vec<bool>>,
+    degraded: bool,
+    recovery: RecoveryReport,
+    trace: Vec<TraceEntry>,
+}
+
 fn run_resilient_path(
     program: &Program,
+    path: &str,
+    forced_scalar: bool,
     report: &mut OracleReport,
-) -> Option<(Vec<Vec<bool>>, bool)> {
-    let path = RESILIENT_PATH;
-    let mut mem = build_memory(program, false);
+) -> Option<ResilientRun> {
+    let mut mem = build_memory(program, forced_scalar);
     if let Some(rate) = program.fault_tra_rate {
         if let Err(e) = mem.set_tra_fault_rate(rate) {
             report.fail(path, format!("fault arming failed: {e}"));
@@ -588,9 +607,13 @@ fn run_resilient_path(
             report.fail(path, "placement profile vanished after arming".into());
         }
     }
-    let degraded = exec.is_degraded();
     check_trace(report, path, program, exec.memory());
-    Some((readback, degraded))
+    Some(ResilientRun {
+        readback,
+        degraded: exec.is_degraded(),
+        recovery: r,
+        trace: exec.memory().controller().timer().trace().unwrap_or(&[]).to_vec(),
+    })
 }
 
 fn run_differential(program: &Program, mutation: Option<&Mutation>) -> OracleReport {
@@ -617,9 +640,9 @@ fn run_differential(program: &Program, mutation: Option<&Mutation>) -> OracleRep
         }
     }
     if program.resilient_compatible() {
-        if let Some((mut readback, _)) = run_resilient_path(program, &mut report) {
-            apply_mutation(&mut readback, RESILIENT_PATH, mutation);
-            compare(&mut report, RESILIENT_PATH, &golden, &readback);
+        if let Some(mut run) = run_resilient_path(program, RESILIENT_PATH, false, &mut report) {
+            apply_mutation(&mut run.readback, RESILIENT_PATH, mutation);
+            compare(&mut report, RESILIENT_PATH, &golden, &run.readback);
         }
     }
     report
@@ -628,13 +651,38 @@ fn run_differential(program: &Program, mutation: Option<&Mutation>) -> OracleRep
 fn run_fault_armed(program: &Program, mutation: Option<&Mutation>) -> OracleReport {
     let mut report = OracleReport::default();
     let golden = golden::run(program);
-    if let Some((mut readback, degraded)) = run_resilient_path(program, &mut report) {
-        apply_mutation(&mut readback, RESILIENT_PATH, mutation);
-        // TMR voting plus retry/scrub must recover the golden result
-        // unless the executor explicitly declared the run degraded.
-        if !degraded {
-            compare(&mut report, RESILIENT_PATH, &golden, &readback);
+    let Some(mut run) = run_resilient_path(program, RESILIENT_PATH, false, &mut report) else {
+        return report;
+    };
+    // Both charge-share kernels consume one fault draw stream, so the
+    // forced-scalar device must reproduce the run exactly.
+    let scalar_path = RESILIENT_SCALAR_PATH;
+    if let Some(mut scalar) = run_resilient_path(program, scalar_path, true, &mut report) {
+        apply_mutation(&mut scalar.readback, scalar_path, mutation);
+        if let Some(v) = first_mismatch(&scalar.readback, &run.readback) {
+            report.fail(scalar_path, format!("vector {v} readback differs from {RESILIENT_PATH}"));
         }
+        if scalar.recovery != run.recovery {
+            report.fail(
+                scalar_path,
+                format!(
+                    "recovery report {:?} differs from {RESILIENT_PATH}'s {:?}",
+                    scalar.recovery, run.recovery
+                ),
+            );
+        }
+        if let Some(i) = first_mismatch(&scalar.trace, &run.trace) {
+            report.fail(
+                scalar_path,
+                format!("command trace differs from {RESILIENT_PATH} at entry {i}"),
+            );
+        }
+    }
+    apply_mutation(&mut run.readback, RESILIENT_PATH, mutation);
+    // TMR voting plus retry/scrub must recover the golden result unless
+    // the executor explicitly declared the run degraded.
+    if !run.degraded {
+        compare(&mut report, RESILIENT_PATH, &golden, &run.readback);
     }
     report
 }
@@ -716,6 +764,17 @@ mod tests {
             assert_eq!(again.ok(), report.ok());
         }
         assert!(armed > 0);
+    }
+
+    #[test]
+    fn forced_scalar_resilient_pin_detects_a_divergence() {
+        let cfg = GeneratorConfig { fault_chance: 1.0, ..GeneratorConfig::default() };
+        let program = generate(2, &cfg);
+        assert!(run_oracle(&program, None).ok());
+        let mutation = Mutation { path: RESILIENT_SCALAR_PATH.into(), vector: 0, bit: 0 };
+        let report = run_oracle(&program, Some(&mutation));
+        assert!(!report.ok());
+        assert!(report.failures.iter().all(|f| f.path == RESILIENT_SCALAR_PATH));
     }
 
     #[test]

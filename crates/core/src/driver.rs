@@ -1366,6 +1366,24 @@ impl AmbitMemory {
         Ok(())
     }
 
+    /// Backdoor read as one packed row-sized [`BitRow`] per chunk (no
+    /// protocol, no timing): the mirror of [`poke_rows`](Self::poke_rows).
+    /// Bits of the final row past the vector's length come back as stored.
+    ///
+    /// # Errors
+    ///
+    /// Returns an unknown-handle error for stale handles.
+    pub fn peek_rows(&self, handle: BitVectorHandle) -> Result<Vec<BitRow>> {
+        let meta = self.meta(handle)?;
+        meta.chunks
+            .iter()
+            .map(|chunk| {
+                self.ctrl
+                    .peek_data(chunk.bank, chunk.subarray, chunk.d_index)
+            })
+            .collect()
+    }
+
     /// Reads the vector's bits back to the host through the DRAM protocol
     /// (timed).
     ///

@@ -12,6 +12,13 @@
 //! stay consistent by construction); reads majority-vote the replicas,
 //! correcting any single-replica fault and reporting which bits needed
 //! correction. A scrub pass rewrites all replicas with the voted value.
+//!
+//! Voting runs 64 bits per word over the replicas' packed rows:
+//! majority `(a&b)|(b&c)|(c&a)`, disagreement `(a^b)|(b^c)`. `Vec<bool>`
+//! appears only at the public boundary ([`TmrVector::write`],
+//! [`TmrVector::read_voted`]).
+
+use ambit_dram::BitRow;
 
 use crate::driver::{AmbitMemory, BitVectorHandle};
 use crate::error::{AmbitError, Result};
@@ -19,6 +26,11 @@ use crate::ops::BitwiseOp;
 use crate::OpReceipt;
 
 /// A triple-modular-redundant bitvector: three replicas in Ambit memory.
+///
+/// Replicas are voted word-wise over their packed rows. When the length is
+/// not a multiple of the row width, the final row's trailing bits are
+/// padding: they never vote, never count as corrected, and every write and
+/// scrub stores them as zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TmrVector {
     replicas: [BitVectorHandle; 3],
@@ -32,6 +44,38 @@ pub struct VotedRead {
     pub data: Vec<bool>,
     /// Bit positions where at least one replica disagreed (corrected).
     pub corrected: Vec<usize>,
+}
+
+/// A word-wise vote over a TMR vector's replicas, one packed row per
+/// chunk. Bits past the vector's length are zero in both row sets, so
+/// padding never votes and never counts as a suspect.
+#[derive(Debug)]
+pub(crate) struct PackedVote {
+    /// Majority of the three replicas.
+    pub(crate) voted: Vec<BitRow>,
+    /// Set where at least one replica disagrees.
+    pub(crate) disagree: Vec<BitRow>,
+    /// Set bits in `disagree`.
+    pub(crate) suspects: usize,
+}
+
+impl PackedVote {
+    /// Positions of the suspect bits, ascending.
+    pub(crate) fn suspect_bits(&self) -> Vec<usize> {
+        self.disagree
+            .iter()
+            .enumerate()
+            .flat_map(|(k, row)| row.iter_ones().map(move |bit| k * row.len() + bit))
+            .collect()
+    }
+}
+
+/// Expands packed rows into the first `len` logical bits.
+pub(crate) fn unpack(rows: &[BitRow], len: usize) -> Vec<bool> {
+    rows.iter()
+        .flat_map(|row| (0..row.len()).map(move |bit| row.get(bit)))
+        .take(len)
+        .collect()
 }
 
 impl TmrVector {
@@ -62,12 +106,69 @@ impl TmrVector {
     ///
     /// # Errors
     ///
-    /// Propagates driver errors (size mismatch, stale handle).
+    /// Returns [`AmbitError::SizeMismatch`] unless `data` holds exactly
+    /// [`len_bits`](Self::len_bits) bits, and propagates driver errors
+    /// (stale handle).
     pub fn write(&self, mem: &mut AmbitMemory, data: &[bool]) -> Result<()> {
+        if data.len() != self.bits {
+            return Err(AmbitError::SizeMismatch {
+                left_bits: data.len(),
+                right_bits: self.bits,
+            });
+        }
+        let row_bits = mem.row_bits();
+        let rows: Vec<BitRow> = data
+            .chunks(row_bits)
+            .map(|chunk| BitRow::from_fn(row_bits, |bit| chunk.get(bit) == Some(&true)))
+            .collect();
+        self.write_rows(mem, rows)
+    }
+
+    /// Writes one packed row per chunk to all three replicas, first
+    /// zeroing the bits past [`len_bits`](Self::len_bits), as
+    /// [`write`](Self::write) does.
+    pub(crate) fn write_rows(&self, mem: &mut AmbitMemory, mut rows: Vec<BitRow>) -> Result<()> {
+        self.clear_padding(&mut rows);
         for r in self.replicas {
-            mem.poke_bits(r, data)?;
+            mem.poke_rows(r, &rows)?;
         }
         Ok(())
+    }
+
+    /// Zeroes the bits of the final row past the vector's length.
+    fn clear_padding(&self, rows: &mut [BitRow]) {
+        if let Some((last, full)) = rows.split_last_mut() {
+            let valid = self.bits.saturating_sub(full.len() * last.len());
+            last.clear_from(valid);
+        }
+    }
+
+    /// Word-wise vote over the three replicas' packed rows.
+    ///
+    /// # Errors
+    ///
+    /// Propagates driver errors (stale handle).
+    pub(crate) fn vote(&self, mem: &AmbitMemory) -> Result<PackedVote> {
+        let [a, b, c] = self.replicas.map(|r| mem.peek_rows(r));
+        let (a, b, c) = (a?, b?, c?);
+        let mut voted = Vec::with_capacity(a.len());
+        let mut disagree = Vec::with_capacity(a.len());
+        for ((mut a, b), mut c) in a.into_iter().zip(&b).zip(c) {
+            voted.push(BitRow::majority(&a, b, &c));
+            // a ^= b; c ^= b; a |= c  =>  (a^b) | (b^c)
+            a.zip_with_into(b, |x, y| x ^ y);
+            c.zip_with_into(b, |x, y| x ^ y);
+            a.zip_with_into(&c, |x, y| x | y);
+            disagree.push(a);
+        }
+        self.clear_padding(&mut voted);
+        self.clear_padding(&mut disagree);
+        let suspects = disagree.iter().map(BitRow::count_ones).sum();
+        Ok(PackedVote {
+            voted,
+            disagree,
+            suspects,
+        })
     }
 
     /// Majority-voted read with per-bit correction reporting.
@@ -76,20 +177,11 @@ impl TmrVector {
     ///
     /// Propagates driver errors.
     pub fn read_voted(&self, mem: &AmbitMemory) -> Result<VotedRead> {
-        let a = mem.peek_bits(self.replicas[0])?;
-        let b = mem.peek_bits(self.replicas[1])?;
-        let c = mem.peek_bits(self.replicas[2])?;
-        let mut data = Vec::with_capacity(self.bits);
-        let mut corrected = Vec::new();
-        for i in 0..self.bits {
-            let votes = a[i] as u8 + b[i] as u8 + c[i] as u8;
-            let value = votes >= 2;
-            if votes == 1 || votes == 2 {
-                corrected.push(i);
-            }
-            data.push(value);
-        }
-        Ok(VotedRead { data, corrected })
+        let vote = self.vote(mem)?;
+        Ok(VotedRead {
+            data: unpack(&vote.voted, self.bits),
+            corrected: vote.suspect_bits(),
+        })
     }
 
     /// Rewrites all replicas with the voted value (scrubbing), healing any
@@ -100,9 +192,9 @@ impl TmrVector {
     ///
     /// Propagates driver errors.
     pub fn scrub(&self, mem: &mut AmbitMemory) -> Result<usize> {
-        let voted = self.read_voted(mem)?;
-        self.write(mem, &voted.data)?;
-        Ok(voted.corrected.len())
+        let vote = self.vote(mem)?;
+        self.write_rows(mem, vote.voted)?;
+        Ok(vote.suspects)
     }
 }
 

@@ -33,11 +33,11 @@
 
 use std::collections::BTreeMap;
 
-use ambit_dram::{DramError, FaultCampaign, RefreshParams, RefreshScheduler, PS_PER_NS};
+use ambit_dram::{BitRow, DramError, FaultCampaign, RefreshParams, RefreshScheduler, PS_PER_NS};
 use ambit_telemetry::{Counter, Event, Gauge, Histogram, Registry, Span};
 
 use crate::driver::{AmbitMemory, BitVectorHandle};
-use crate::ecc::{bitwise_tmr, TmrVector};
+use crate::ecc::{bitwise_tmr, unpack, TmrVector};
 use crate::error::{AmbitError, Result};
 use crate::ops::BitwiseOp;
 
@@ -494,17 +494,16 @@ impl ResilientExecutor {
     ///
     /// [`AmbitError::UnknownHandle`] or driver errors.
     pub fn read(&mut self, handle: ResilientHandle) -> Result<Vec<bool>> {
-        let entry = self.entry(handle)?;
-        let tmr = entry.tmr;
-        let read = tmr.read_voted(&self.mem)?;
-        if !read.corrected.is_empty() {
-            self.report.faults_detected += read.corrected.len() as u64;
+        let tmr = self.entry(handle)?.tmr;
+        let vote = tmr.vote(&self.mem)?;
+        if vote.suspects > 0 {
+            self.report.faults_detected += vote.suspects as u64;
             self.heal(handle)?;
         }
         if let Some(tel) = &self.telemetry {
             tel.sync(&self.report);
         }
-        Ok(read.data)
+        Ok(unpack(&vote.voted, tmr.len_bits()))
     }
 
     /// Executes `dst = op(a, b)` with the full detect → retry → remap →
@@ -544,14 +543,12 @@ impl ResilientExecutor {
         // CPU fallback) must start from the pre-op operand value, not the
         // clobbered one. Snapshot the voted operand up front in that case.
         let a_snap = if ea.tmr.replicas() == ed.tmr.replicas() {
-            Some(ea.tmr.read_voted(&self.mem)?.data)
+            Some(ea.tmr.vote(&self.mem)?.voted)
         } else {
             None
         };
         let b_snap = match &eb {
-            Some(e) if e.tmr.replicas() == ed.tmr.replicas() => {
-                Some(e.tmr.read_voted(&self.mem)?.data)
-            }
+            Some(e) if e.tmr.replicas() == ed.tmr.replicas() => Some(e.tmr.vote(&self.mem)?.voted),
             _ => None,
         };
 
@@ -603,7 +600,7 @@ impl ResilientExecutor {
                 a_snap.as_deref(),
                 b_snap.as_deref(),
             )?;
-            ed.tmr.write(&mut self.mem, &truth)?;
+            ed.tmr.write_rows(&mut self.mem, truth)?;
             self.report.cpu_fallbacks += 1;
         }
 
@@ -680,8 +677,8 @@ impl ResilientExecutor {
         a: &TmrVector,
         b: Option<&TmrVector>,
         dst: &TmrVector,
-        a_snap: Option<&[bool]>,
-        b_snap: Option<&[bool]>,
+        a_snap: Option<&[BitRow]>,
+        b_snap: Option<&[BitRow]>,
         max_retries: u32,
         aap_budget: u64,
     ) -> Result<AttemptOutcome> {
@@ -726,8 +723,8 @@ impl ResilientExecutor {
             }
             aaps_spent += last_attempt_aaps;
 
-            let read = dst.read_voted(&self.mem)?;
-            let suspects = read.corrected.len();
+            let vote = dst.vote(&self.mem)?;
+            let suspects = vote.suspects;
             if suspects == 0 {
                 return Ok(AttemptOutcome::Done);
             }
@@ -771,13 +768,16 @@ impl ResilientExecutor {
 
             // Low rate: repair the flagged bits from ground truth and
             // accept. Unflagged bits are wrong only if all three replicas
-            // flipped identically — probability `rate³` per bit.
-            let truth = self.cpu_compute(op, a, b, a_snap, b_snap)?;
-            let mut data = read.data;
-            for &i in &read.corrected {
-                data[i] = truth[i];
+            // flipped identically — probability `rate³` per bit. Per word
+            // the repair is (voted & !mask) | (truth & mask), computed in
+            // place in the truth rows as voted ^ ((voted ^ truth) & mask).
+            let mut repaired = self.cpu_compute(op, a, b, a_snap, b_snap)?;
+            for ((fix, voted), mask) in repaired.iter_mut().zip(&vote.voted).zip(&vote.disagree) {
+                fix.zip_with_into(voted, |t, v| t ^ v);
+                fix.zip_with_into(mask, |d, m| d & m);
+                fix.zip_with_into(voted, |d, v| d ^ v);
             }
-            dst.write(&mut self.mem, &data)?;
+            dst.write_rows(&mut self.mem, repaired)?;
             self.report.scrubs += 1;
             self.report.corrected_bits += suspects as u64;
             return Ok(AttemptOutcome::Done);
@@ -791,12 +791,12 @@ impl ResilientExecutor {
         &mut self,
         a: &TmrVector,
         b: Option<&TmrVector>,
-        a_snap: Option<&[bool]>,
-        b_snap: Option<&[bool]>,
+        a_snap: Option<&[BitRow]>,
+        b_snap: Option<&[BitRow]>,
     ) -> Result<()> {
         let mut repaired = match a_snap {
-            Some(data) => {
-                a.write(&mut self.mem, data)?;
+            Some(rows) => {
+                a.write_rows(&mut self.mem, rows.to_vec())?;
                 0
             }
             None => a.scrub(&mut self.mem)?,
@@ -804,8 +804,8 @@ impl ResilientExecutor {
         self.report.scrubs += 1;
         if let Some(b) = b {
             repaired += match b_snap {
-                Some(data) => {
-                    b.write(&mut self.mem, data)?;
+                Some(rows) => {
+                    b.write_rows(&mut self.mem, rows.to_vec())?;
                     0
                 }
                 None => b.scrub(&mut self.mem)?,
@@ -818,30 +818,38 @@ impl ResilientExecutor {
 
     /// Computes the operation CPU-side from the voted source values, using
     /// the pre-op snapshot for any source that aliases the destination.
+    /// Returns one packed row per chunk; padding bits are unspecified
+    /// ([`TmrVector::write_rows`] zeroes them).
     fn cpu_compute(
         &self,
         op: BitwiseOp,
         a: &TmrVector,
         b: Option<&TmrVector>,
-        a_snap: Option<&[bool]>,
-        b_snap: Option<&[bool]>,
-    ) -> Result<Vec<bool>> {
-        let va = match a_snap {
-            Some(data) => data.to_vec(),
-            None => a.read_voted(&self.mem)?.data,
+        a_snap: Option<&[BitRow]>,
+        b_snap: Option<&[BitRow]>,
+    ) -> Result<Vec<BitRow>> {
+        let mut out = match a_snap {
+            Some(rows) => rows.to_vec(),
+            None => a.vote(&self.mem)?.voted,
         };
         let vb = match (b, b_snap) {
-            (Some(_), Some(data)) => Some(data.to_vec()),
-            (Some(b), None) => Some(b.read_voted(&self.mem)?.data),
+            (Some(_), Some(rows)) => Some(rows.to_vec()),
+            (Some(b), None) => Some(b.vote(&self.mem)?.voted),
             (None, _) => None,
         };
-        Ok((0..va.len())
-            .map(|i| {
-                let x = va[i] as u64;
-                let y = vb.as_ref().map_or(0, |v| v[i] as u64);
-                op.apply_words(x, y) & 1 == 1
-            })
-            .collect())
+        match vb {
+            Some(vb) => {
+                for (row, b) in out.iter_mut().zip(&vb) {
+                    row.zip_with_into(b, |x, y| op.apply_words(x, y));
+                }
+            }
+            None => {
+                for row in &mut out {
+                    row.map_words(|_, x| op.apply_words(x, 0));
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Scrub-then-classify: disagreement that survives a scrub is a
@@ -850,13 +858,13 @@ impl ResilientExecutor {
     /// the vector is marked degraded instead of erroring.
     fn heal(&mut self, handle: ResilientHandle) -> Result<()> {
         let tmr = self.entry(handle)?.tmr;
-        if tmr.read_voted(&self.mem)?.corrected.is_empty() {
+        if tmr.vote(&self.mem)?.suspects == 0 {
             return Ok(());
         }
         let repaired = tmr.scrub(&mut self.mem)?;
         self.report.scrubs += 1;
         self.report.corrected_bits += repaired as u64;
-        let persistent = tmr.read_voted(&self.mem)?.corrected;
+        let persistent = tmr.vote(&self.mem)?.suspect_bits();
         for bit in persistent {
             if !self.remap_faulty_bit(tmr, bit)? {
                 self.entry(handle)?.degraded = true;
@@ -870,10 +878,11 @@ impl ResilientExecutor {
     /// exhausted (the caller degrades the vector).
     fn remap_faulty_bit(&mut self, tmr: TmrVector, bit: usize) -> Result<bool> {
         let replicas = tmr.replicas();
+        let row_bits = self.mem.row_bits();
         for _ in 0..self.cfg.max_remap_attempts {
             let values: Vec<bool> = replicas
                 .iter()
-                .map(|&r| Ok(self.mem.peek_bits(r)?[bit]))
+                .map(|&r| Ok(self.mem.peek_rows(r)?[bit / row_bits].get(bit % row_bits)))
                 .collect::<Result<_>>()?;
             let voted = values.iter().filter(|&&v| v).count() >= 2;
             let Some(faulty) = (0..3).find(|&i| values[i] != voted) else {

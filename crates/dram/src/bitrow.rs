@@ -291,6 +291,30 @@ impl BitRow {
         self.mask_tail();
     }
 
+    /// Rewrites each backing word in order, in place:
+    /// `self[i] = f(lanes, self[i])`, where `lanes` is the number of bits of
+    /// word `i` inside the row (64, or the width of a partial last word).
+    /// Tail bits beyond `len` are re-masked afterwards, so `f` may produce
+    /// them freely.
+    pub fn map_words(&mut self, mut f: impl FnMut(usize, u64) -> u64) {
+        let len = self.len;
+        for (i, word) in self.words.iter_mut().enumerate() {
+            *word = f((len - i * WORD_BITS).min(WORD_BITS), *word);
+        }
+        self.mask_tail();
+    }
+
+    /// Clears every bit at index `from` or above; a no-op when
+    /// `from >= len`.
+    pub fn clear_from(&mut self, from: usize) {
+        if from >= self.len {
+            return;
+        }
+        let word = from / WORD_BITS;
+        self.words[word] &= (1u64 << (from % WORD_BITS)) - 1;
+        self.words[word + 1..].fill(0);
+    }
+
     /// Copies `bytes.len()` bytes into the row starting at bit offset
     /// `bit_offset` (which must be byte aligned).
     ///

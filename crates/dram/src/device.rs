@@ -233,7 +233,9 @@ impl DramDevice {
     /// Registers the charge-share path-split counters
     /// (`ambit_charge_share_path_total{path=...}`) with `registry` and
     /// installs them in every subarray, making the word-parallel vs scalar
-    /// split observable in the Prometheus exposition.
+    /// split observable in the Prometheus exposition. `path="scalar"` is
+    /// the path that consumes the fault RNG: fault-armed TRAs count there
+    /// although the word kernel resolves them.
     pub fn set_telemetry(&mut self, registry: &Registry) {
         let help = "Multi-row charge shares by resolution path";
         let word_parallel = registry.counter(

@@ -120,11 +120,13 @@ pub struct SubarrayStats {
     pub column_reads: u64,
     /// Column writes into the row buffer.
     pub column_writes: u64,
-    /// Multi-row charge shares resolved on the word-parallel fast path
-    /// (64 bitlines per u64 operation).
+    /// Fault-free multi-row charge shares resolved on the word-parallel
+    /// fast path (64 bitlines per u64 operation).
     pub word_parallel_charge_shares: u64,
-    /// Multi-row charge shares resolved by the bit-serial scalar reference
-    /// path (non-TRA arities, forced-scalar mode, or armed fault RNG).
+    /// Multi-row charge shares on the path that consumes the fault RNG:
+    /// every fault-armed TRA (resolved by the word kernel plus a per-bitline
+    /// flip draw), and every charge share the bit-serial scalar reference
+    /// resolves (non-TRA arities, forced-scalar mode).
     pub scalar_charge_shares: u64,
 }
 
@@ -323,9 +325,10 @@ impl Subarray {
     /// Forces every multi-row charge share through the bit-serial scalar
     /// reference path, even where the word-parallel fast path applies.
     ///
-    /// The two paths are byte-identical for fault-free activations (pinned
-    /// by the equivalence proptests); this switch exists so benchmarks and
-    /// tests can measure and compare the retained reference implementation.
+    /// The two paths are byte-identical, fault-armed or not: an armed TRA
+    /// draws the same per-bitline fault stream on both (pinned by the
+    /// equivalence proptests). This switch exists so benchmarks and tests
+    /// can measure and compare the retained reference implementation.
     pub fn set_scalar_reference(&mut self, force: bool) {
         self.force_scalar = force;
     }
@@ -337,8 +340,9 @@ impl Subarray {
     }
 
     /// Installs telemetry counters incremented on each multi-row charge
-    /// share, split by resolution path (word-parallel fast path vs the
-    /// bit-serial scalar reference).
+    /// share, split by resolution path: the fault-free word-parallel fast
+    /// path, or the path that consumes the fault RNG (see
+    /// [`SubarrayStats::scalar_charge_shares`]).
     pub fn set_charge_share_counters(&mut self, word_parallel: Counter, scalar: Counter) {
         self.word_parallel_counter = Some(word_parallel);
         self.scalar_counter = Some(scalar);
@@ -696,12 +700,20 @@ impl Subarray {
     /// from the precharged state.
     ///
     /// The 3-row case — the only multi-row shape the Ambit protocol issues —
-    /// normally takes a word-parallel fast path (64 bitlines per u64
-    /// operation). The bit-serial loop is retained as the scalar reference:
-    /// it handles every other arity, resolves ties, and owns the per-bit RNG
-    /// draw used for transient fault injection, whose deterministic stream
-    /// must not change shape. Fault-armed subarrays
-    /// (`tra_fault_threshold > 0`) therefore always take the scalar path.
+    /// takes the word-parallel kernel (64 bitlines per u64 operation) unless
+    /// the scalar reference is forced. A tie is impossible at arity 3, so
+    /// the majority itself draws nothing from the RNG. When transient fault
+    /// injection is armed (`tra_fault_threshold > 0`), the kernel's result
+    /// then takes one `next_rng_u64` draw per bitline in bitline order,
+    /// XOR-ed in as a 64-bit flip mask per word: exactly the draws, in
+    /// exactly the order, the bit-serial loop makes, so both paths sense
+    /// the same row and leave the same RNG state. The bit-serial loop stays
+    /// as the reference for forced-scalar mode, every other arity, and
+    /// ties.
+    ///
+    /// Armed TRAs count under [`SubarrayStats::scalar_charge_shares`]
+    /// (telemetry `path="scalar"`), the path that consumes the fault RNG,
+    /// so the counters read the same whichever kernel resolved them.
     fn charge_share(&mut self, wordlines: &[Wordline]) -> Result<BitRow> {
         if wordlines.len() == 1 {
             // Common case: single-row activation senses the row directly
@@ -713,20 +725,42 @@ impl Subarray {
                 BitlineSide::BitlineBar => data.not(),
             });
         }
-        if wordlines.len() == 3 && self.tra_fault_threshold == 0 && !self.force_scalar {
-            let sense = self.charge_share_tra_word_parallel(wordlines);
-            self.stats.word_parallel_charge_shares += 1;
-            if let Some(c) = &self.word_parallel_counter {
-                c.inc();
+        if wordlines.len() == 3 && !self.force_scalar {
+            let mut sense = self.charge_share_tra_word_parallel(wordlines);
+            if self.tra_fault_threshold == 0 {
+                self.stats.word_parallel_charge_shares += 1;
+                if let Some(c) = &self.word_parallel_counter {
+                    c.inc();
+                }
+                return Ok(sense);
             }
+            self.inject_tra_faults(&mut sense);
+            self.count_scalar_charge_share();
             return Ok(sense);
         }
         let sense = self.charge_share_scalar(wordlines)?;
+        self.count_scalar_charge_share();
+        Ok(sense)
+    }
+
+    fn count_scalar_charge_share(&mut self) {
         self.stats.scalar_charge_shares += 1;
         if let Some(c) = &self.scalar_counter {
             c.inc();
         }
-        Ok(sense)
+    }
+
+    /// Transient TRA fault injection on a word-parallel sense row: one RNG
+    /// draw per bitline, in bitline order, flips that bitline when it
+    /// falls below the threshold — the bit-serial loop's stream, applied
+    /// 64 bitlines per XOR.
+    fn inject_tra_faults(&mut self, sense: &mut BitRow) {
+        let threshold = self.tra_fault_threshold;
+        sense.map_words(|lanes, word| {
+            (0..lanes).fold(word, |word, lane| {
+                word ^ u64::from(self.next_rng_u64() < threshold) << lane
+            })
+        });
     }
 
     /// Word-parallel TRA charge share: the sensed row is the majority of
@@ -734,9 +768,8 @@ impl Subarray {
     ///
     /// Three wordlines contribute an odd signed score per bitline (±1 each,
     /// so the total is ±1 or ±3) — a tie is arithmetically impossible, which
-    /// is why this path needs no tie-break policy and, when fault injection
-    /// is disarmed, consumes no RNG draws: it is bit-exact with the scalar
-    /// reference by construction.
+    /// is why this path needs no tie-break policy and draws nothing from the
+    /// RNG: it is bit-exact with the scalar reference by construction.
     fn charge_share_tra_word_parallel(&self, wordlines: &[Wordline]) -> BitRow {
         let bar = |wl: &Wordline| wl.side == BitlineSide::BitlineBar;
         let row = |wl: &Wordline| self.row_ref(self.resolve(wl.row));

@@ -2,13 +2,15 @@
 //!
 //! The 3-row TRA fast path must be byte-identical to the retained bit-serial
 //! scalar reference (`Subarray::set_scalar_reference`) across arbitrary row
-//! contents, bitline/bitline-bar side mixes, and every `TieBreak` policy —
-//! and arming transient fault injection must keep producing the exact same
-//! deterministic flip stream as before the fast path existed (fault-armed
-//! subarrays always take the scalar path).
+//! contents, bitline/bitline-bar side mixes, and every `TieBreak` policy.
+//! Fault-armed subarrays run the same word kernel and then draw one fault
+//! value per bitline, in bitline order: the flip stream must replay the
+//! documented reference RNG exactly, and a fault-armed fast-path subarray
+//! must stay in lockstep with a fault-armed forced-scalar one — same sense,
+//! same rows, same RNG state — across consecutive TRAs.
 
 use ambit_conformance::ReferenceRng;
-use ambit_dram::{BitRow, CellFault, Subarray, TieBreak, Wordline};
+use ambit_dram::{BitRow, BitlineSide, CellFault, Subarray, TieBreak, Wordline};
 use proptest::prelude::*;
 
 fn bitrow_strategy(len: usize) -> impl Strategy<Value = BitRow> {
@@ -120,30 +122,83 @@ proptest! {
 
     #[test]
     fn armed_fault_injection_replays_the_reference_stream(
-        a in bitrow_strategy(128),
-        b in bitrow_strategy(128),
-        c in bitrow_strategy(128),
+        a in bitrow_strategy(130),
+        b in bitrow_strategy(130),
+        c in bitrow_strategy(130),
+        sa_bar in any::<bool>(),
+        sb_bar in any::<bool>(),
+        sc_bar in any::<bool>(),
         rate_millis in 1u32..400,
     ) {
-        // A fault-armed subarray must take the scalar path and flip exactly
-        // the bitlines the documented per-bit RNG stream dictates — same
-        // seed, same flipped bits, regardless of the fast path's existence.
+        // A fault-armed subarray must flip exactly the bitlines the
+        // documented per-bit RNG stream dictates — same seed, same flipped
+        // bits, whichever kernel resolves the majority. Bar-side wordlines
+        // and the masked tail of a 130-bit row are both in play.
         let rate = rate_millis as f64 / 1000.0;
-        let mut sa = Subarray::new(8, 128);
+        let mut sa = Subarray::new(8, 130);
         sa.set_tra_fault_rate(rate).unwrap();
         sa.poke_row(0, a.clone());
         sa.poke_row(1, b.clone());
         sa.poke_row(2, c.clone());
-        let wls = [Wordline::data(0), Wordline::data(1), Wordline::data(2)];
+        let wls = [wordline(0, sa_bar), wordline(1, sb_bar), wordline(2, sc_bar)];
         let sensed = sa.activate(&wls).unwrap().clone();
         prop_assert_eq!(sa.stats().scalar_charge_shares, 1);
         prop_assert_eq!(sa.stats().word_parallel_charge_shares, 0);
 
         let threshold = (rate * u64::MAX as f64) as u64;
         let mut rng = ReferenceRng::new();
-        let clean = BitRow::majority(&a, &b, &c);
-        let expect = BitRow::from_fn(128, |i| clean.get(i) ^ (rng.next() < threshold));
+        let side = |row: &BitRow, bar: bool| if bar { row.not() } else { row.clone() };
+        let clean = BitRow::majority(&side(&a, sa_bar), &side(&b, sb_bar), &side(&c, sc_bar));
+        let expect = BitRow::from_fn(130, |i| clean.get(i) ^ (rng.next() < threshold));
         prop_assert_eq!(sensed, expect);
+    }
+
+    #[test]
+    fn armed_fast_path_stays_in_lockstep_with_armed_scalar_reference(
+        rows in proptest::collection::vec(bitrow_strategy(130), 8),
+        bars in proptest::collection::vec(any::<bool>(), 15),
+        rate_millis in 1u32..400,
+    ) {
+        // Four consecutive fault-armed TRAs over rotating rows: the
+        // word-kernel subarray and the forced-scalar one must agree on
+        // every sense and every row after each TRA, and still draw the
+        // same flips on the fifth.
+        let rate = rate_millis as f64 / 1000.0;
+        let mk = |force_scalar: bool| {
+            let mut sa = Subarray::new(8, 130);
+            sa.set_scalar_reference(force_scalar);
+            sa.set_tra_fault_rate(rate).unwrap();
+            for (r, row) in rows.iter().enumerate() {
+                sa.poke_row(r, row.clone());
+            }
+            sa
+        };
+        let mut fast = mk(false);
+        let mut scalar = mk(true);
+        for round in 0..5 {
+            let wls: Vec<Wordline> = (0..3)
+                .map(|k| wordline((round + 2 * k) % 8, bars[3 * round + k]))
+                .collect();
+            let inputs: Vec<BitRow> = wls
+                .iter()
+                .map(|wl| {
+                    let row = fast.peek_row(wl.row);
+                    if wl.side == BitlineSide::BitlineBar { row.not() } else { row }
+                })
+                .collect();
+            let clean = BitRow::majority(&inputs[0], &inputs[1], &inputs[2]);
+            let s_fast = fast.activate(&wls).unwrap().clone();
+            let s_scalar = scalar.activate(&wls).unwrap().clone();
+            fast.precharge().unwrap();
+            scalar.precharge().unwrap();
+            prop_assert_eq!(s_fast.xor(&clean), s_scalar.xor(&clean), "flips of TRA {}", round);
+            prop_assert_eq!(&s_fast, &s_scalar);
+            for r in 0..8 {
+                prop_assert_eq!(fast.peek_row(r), scalar.peek_row(r), "row {} after TRA {}", r, round);
+            }
+        }
+        prop_assert_eq!(fast.stats().scalar_charge_shares, 5);
+        prop_assert_eq!(fast.stats(), scalar.stats());
     }
 }
 

@@ -13,9 +13,10 @@
 //!   [`RecoveryReport`], plus retry/remap/degrade trace events,
 //! * `ambit_driver_plan_cache_{hits,misses}` from the compiled-program
 //!   cache, and `ambit_charge_share_path_total{path=...}` showing which
-//!   activations resolved word-parallel versus through the bit-serial
-//!   scalar reference (fault-armed subarrays, like this campaign's, pin
-//!   to the scalar path for replay determinism),
+//!   activations resolved on the fault-free word-parallel path versus the
+//!   path that consumes the fault RNG (fault-armed TRAs, like this
+//!   campaign's, count as `scalar` although the word kernel resolves
+//!   them),
 //! * `ambit_batch_path_total{path, reason}`: which issue path each batch
 //!   ran on and why — the threaded path as requested, or plain
 //!   bank-parallel issue because the device is fault-armed or the thread

@@ -1,13 +1,18 @@
 //! Property-based tests of the TMR voting layer (paper Section 5.4.5)
 //! against randomized stuck-at fault campaigns: a voted read corrects any
 //! single-replica fault pattern, and the `corrected` list reports exactly
-//! the faulted bit positions that actually flipped the stored value.
+//! the faulted bit positions that actually flipped the stored value. For
+//! lengths that leave padding in the final row, corrupted padding never
+//! votes, never counts as corrected, and scrubbing writes it back as zero.
 
 use std::collections::BTreeSet;
 
 use ambit_repro::core::{AmbitMemory, TmrVector};
 use ambit_repro::dram::{AapMode, CellFault, DramGeometry, TimingParams};
 use proptest::prelude::*;
+
+/// Row width of the tiny geometry.
+const ROW_BITS: usize = 128;
 
 fn memory() -> AmbitMemory {
     AmbitMemory::new(
@@ -105,5 +110,53 @@ proptest! {
         let got: BTreeSet<usize> = read.corrected.iter().copied().collect();
         prop_assert_eq!(got, flipped);
         prop_assert_eq!(read.data, data);
+    }
+
+    /// Corrupting the padding of a vector whose length is not a multiple
+    /// of the row width — in one replica, and at one position in a second
+    /// replica too, so that padding bit holds a two-replica majority —
+    /// never shows up in `corrected` or the voted data, and a scrub writes
+    /// every replica's padding back as zero.
+    #[test]
+    fn padding_never_votes_and_scrubs_to_zero(
+        data_seed in any::<u64>(),
+        full_rows in 0usize..3,
+        tail in 1usize..ROW_BITS,
+        replica in 0usize..3,
+        pad_offsets in prop::collection::btree_set(0usize..ROW_BITS, 1..8),
+    ) {
+        let mut mem = memory();
+        prop_assert_eq!(mem.row_bits(), ROW_BITS);
+        let bits = full_rows * ROW_BITS + tail;
+        let data = bits_from_seed(bits, data_seed);
+        let tmr = TmrVector::alloc(&mut mem, bits).unwrap();
+        tmr.write(&mut mem, &data).unwrap();
+
+        let pad = ROW_BITS - tail;
+        let corrupt = |mem: &mut AmbitMemory, victim, offsets: &[usize]| {
+            let mut rows = mem.peek_rows(victim).unwrap();
+            for &off in offsets {
+                rows[full_rows].set(tail + off % pad, true);
+            }
+            mem.poke_rows(victim, &rows).unwrap();
+        };
+        let offsets: Vec<usize> = pad_offsets.iter().copied().collect();
+        corrupt(&mut mem, tmr.replicas()[replica], &offsets);
+        corrupt(&mut mem, tmr.replicas()[(replica + 1) % 3], &offsets[..1]);
+
+        let read = tmr.read_voted(&mem).unwrap();
+        prop_assert!(read.corrected.is_empty(), "padding reported: {:?}", read.corrected);
+        prop_assert_eq!(&read.data, &data);
+
+        prop_assert_eq!(tmr.scrub(&mut mem).unwrap(), 0);
+        for r in tmr.replicas() {
+            let last = &mem.peek_rows(r).unwrap()[full_rows];
+            prop_assert!(
+                (tail..ROW_BITS).all(|b| !last.get(b)),
+                "padding of replica {:?} not zero after scrub",
+                r
+            );
+        }
+        prop_assert_eq!(tmr.read_voted(&mem).unwrap().data, data);
     }
 }
