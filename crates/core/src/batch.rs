@@ -18,7 +18,7 @@
 //! style (Hajinazar et al., ASPLOS'21). A wave barrier separates dependent
 //! ops.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::controller::OpReceipt;
 use crate::driver::BitVectorHandle;
@@ -341,13 +341,108 @@ impl BatchBuilder {
     /// independent of every other op in the same wave, and depends only on
     /// ops in earlier waves. Waves preserve submission order internally.
     ///
+    /// An op's wave is its *level*: the length of the longest dependency
+    /// path that ends at it (ops with no dependencies are level 0). That is
+    /// exactly the partition Kahn's algorithm run level by level produces,
+    /// but computed in one topological pass over an in-degree queue, so
+    /// planning costs O(ops + edges) — edges being the explicit ones plus at
+    /// most one RAW/WAW edge per operand and one WAR edge per earlier read.
+    /// One pass suffices even though explicit
+    /// [`depends_on`](Self::depends_on) edges may point forward in
+    /// submission order: an op is levelled only once all its dependencies
+    /// are.
+    ///
     /// # Errors
     ///
     /// * [`AmbitError::EmptyBatch`] for an empty builder.
     /// * [`AmbitError::DependencyCycle`] if the explicit edges close a
     ///   cycle (handle-inferred edges alone always point backwards and
-    ///   cannot).
+    ///   cannot). `op` is the lowest index the pass could not place: an op
+    ///   on the cycle or downstream of it.
     pub(crate) fn waves(&self) -> Result<Vec<Vec<usize>>> {
+        let n = self.ops.len();
+        if n == 0 {
+            return Err(AmbitError::EmptyBatch);
+        }
+        // `(earlier, later)` edges, duplicates allowed: in-degrees count
+        // them with the same multiplicity the queue pass decrements them.
+        let mut edges: Vec<(usize, usize)> = self
+            .explicit
+            .iter()
+            .map(|&(later, earlier)| (earlier, later))
+            .collect();
+        // Hazard analysis over raw handle ids, in submission order.
+        let mut last_writer: HashMap<u64, usize> = HashMap::new();
+        let mut readers_since_write: HashMap<u64, Vec<usize>> = HashMap::new();
+        for (i, op) in self.ops.iter().enumerate() {
+            for r in op.reads() {
+                if let Some(&w) = last_writer.get(&r.0) {
+                    edges.push((w, i)); // RAW
+                }
+                readers_since_write.entry(r.0).or_default().push(i);
+            }
+            let d = op.writes();
+            if let Some(&w) = last_writer.get(&d.0) {
+                edges.push((w, i)); // WAW
+            }
+            if let Some(readers) = readers_since_write.get_mut(&d.0) {
+                edges.extend(readers.iter().filter(|&&r| r != i).map(|&r| (r, i))); // WAR
+                readers.clear();
+            }
+            last_writer.insert(d.0, i);
+        }
+
+        // Successor lists in compressed form: `succ[start[v]..start[v + 1]]`.
+        let mut start = vec![0usize; n + 1];
+        let mut indegree = vec![0usize; n];
+        for &(from, to) in &edges {
+            start[from + 1] += 1;
+            indegree[to] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start.clone();
+        let mut succ = vec![0usize; edges.len()];
+        for &(from, to) in &edges {
+            succ[fill[from]] = to;
+            fill[from] += 1;
+        }
+
+        // One topological pass: an op's level is final when its last
+        // dependency is dequeued.
+        let mut level = vec![0usize; n];
+        let mut queue: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            for &w in &succ[start[v]..start[v + 1]] {
+                level[w] = level[w].max(level[v] + 1);
+                indegree[w] -= 1;
+                if indegree[w] == 0 {
+                    queue.push(w);
+                }
+            }
+        }
+        if queue.len() < n {
+            let op = (0..n).find(|&v| indegree[v] > 0).unwrap_or(0);
+            return Err(AmbitError::DependencyCycle { op });
+        }
+
+        let depth = level.iter().max().map_or(0, |&l| l + 1);
+        let mut waves = vec![Vec::new(); depth];
+        for (i, &l) in level.iter().enumerate() {
+            waves[l].push(i);
+        }
+        Ok(waves)
+    }
+
+    /// The level-by-level Kahn planner [`waves`](Self::waves) replaced,
+    /// kept as its test oracle: each round rescans every op and places all
+    /// whose dependencies are placed.
+    #[cfg(test)]
+    pub(crate) fn waves_by_levels(&self) -> Result<Vec<Vec<usize>>> {
+        use std::collections::HashSet;
         let n = self.ops.len();
         if n == 0 {
             return Err(AmbitError::EmptyBatch);
@@ -356,30 +451,28 @@ impl BatchBuilder {
         for &(later, earlier) in &self.explicit {
             deps[later].insert(earlier);
         }
-        // Hazard analysis over raw handle ids, in submission order.
         let mut last_writer: HashMap<u64, usize> = HashMap::new();
         let mut readers_since_write: HashMap<u64, Vec<usize>> = HashMap::new();
         for (i, op) in self.ops.iter().enumerate() {
             for r in op.reads() {
                 if let Some(&w) = last_writer.get(&r.0) {
-                    deps[i].insert(w); // RAW
+                    deps[i].insert(w);
                 }
                 readers_since_write.entry(r.0).or_default().push(i);
             }
             let d = op.writes();
             if let Some(&w) = last_writer.get(&d.0) {
-                deps[i].insert(w); // WAW
+                deps[i].insert(w);
             }
             for &r in readers_since_write.get(&d.0).map_or(&[][..], |v| v) {
                 if r != i {
-                    deps[i].insert(r); // WAR
+                    deps[i].insert(r);
                 }
             }
             last_writer.insert(d.0, i);
             readers_since_write.insert(d.0, Vec::new());
         }
 
-        // Kahn's algorithm by levels.
         let mut remaining: Vec<HashSet<usize>> = deps;
         let mut placed = vec![false; n];
         let mut waves = Vec::new();
@@ -497,10 +590,115 @@ mod tests {
     }
 
     #[test]
+    fn forward_explicit_edge_reorders_waves() {
+        let mut b = BatchBuilder::new();
+        let x = b.bitwise(BitwiseOp::Not, handle(0), None, handle(1));
+        b.bitwise(BitwiseOp::Not, handle(2), None, handle(3));
+        let z = b.bitwise(BitwiseOp::Not, handle(3), None, handle(4)); // RAW on op 1
+        b.depends_on(x, z).unwrap(); // points forward in submission order
+        assert_eq!(b.waves().unwrap(), vec![vec![1], vec![2], vec![0]]);
+        assert_eq!(b.waves(), b.waves_by_levels());
+    }
+
+    #[test]
+    fn cycle_reports_lowest_unplaced_op() {
+        let mut b = BatchBuilder::new();
+        for i in 0..4u64 {
+            b.bitwise(BitwiseOp::Not, handle(2 * i), None, handle(2 * i + 1));
+        }
+        // 0 is free; 1 waits on the 2 <-> 3 cycle, so it is unplaced too.
+        b.depends_on(OpId(1), OpId(2)).unwrap();
+        b.depends_on(OpId(2), OpId(3)).unwrap();
+        b.depends_on(OpId(3), OpId(2)).unwrap();
+        assert_eq!(b.waves(), Err(AmbitError::DependencyCycle { op: 1 }));
+        assert_eq!(b.waves(), b.waves_by_levels());
+    }
+
+    #[test]
     fn maj3_and_fold_hazards_tracked() {
         let mut b = BatchBuilder::new();
         b.maj3(handle(0), handle(1), handle(2), handle(3));
         b.fold(BitwiseOp::Or, &[handle(3), handle(4)], handle(5));
         assert_eq!(b.waves().unwrap(), vec![vec![0], vec![1]]);
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// An op kind and three handle draws, reduced modulo the case's
+        /// handle pool: a small pool makes RAW, WAW and WAR hazards (in-place
+        /// ops and repeated fold operands included) dense, a large one
+        /// leaves room for forward explicit edges that close no cycle.
+        type Shape = (u8, u64, u64, u64);
+
+        fn batch(shapes: &[Shape], pool: u64, edges: &[(usize, usize)]) -> BatchBuilder {
+            let mut b = BatchBuilder::new();
+            for &(kind, x, y, z) in shapes {
+                let (x, y, z) = (x % pool, y % pool, z % pool);
+                match kind {
+                    0 => b.bitwise(BitwiseOp::And, handle(x), Some(handle(y)), handle(z)),
+                    1 => b.bitwise(BitwiseOp::Not, handle(x), None, handle(z)),
+                    2 => b.maj3(handle(x), handle(y), handle(z), handle((x + y) % pool)),
+                    _ => b.fold(BitwiseOp::Or, &[handle(x), handle(y), handle(x)], handle(z)),
+                };
+            }
+            let n = shapes.len();
+            for &(op, dep) in edges {
+                if op % n != dep % n {
+                    b.depends_on(OpId(op % n), OpId(dep % n)).unwrap();
+                }
+            }
+            b
+        }
+
+        fn shapes() -> impl Strategy<Value = Vec<Shape>> {
+            vec((0u8..4, 0u64..64, 0u64..64, 0u64..64), 2..40)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Random hazard DAGs plus explicit edges in either direction
+            /// (forward ones included, which sometimes close a cycle): the
+            /// linear planner returns the oracle's waves, or its
+            /// `DependencyCycle { op }`.
+            #[test]
+            fn linear_planner_matches_kahn_oracle(
+                shapes in shapes(),
+                pool in 3u64..64,
+                edges in vec((0usize..40, 0usize..40), 0..6),
+            ) {
+                let b = batch(&shapes, pool, &edges);
+                prop_assert_eq!(b.waves(), b.waves_by_levels());
+            }
+
+            /// The same batches with an explicit cycle injected through
+            /// 2–4 distinct ops: both planners fail on the same op.
+            #[test]
+            fn injected_cycles_match_kahn_oracle(
+                shapes in shapes(),
+                pool in 3u64..64,
+                edges in vec((0usize..40, 0usize..40), 0..6),
+                ring in vec(0usize..40, 2..5),
+            ) {
+                let mut b = batch(&shapes, pool, &edges);
+                let mut ids: Vec<usize> = Vec::new();
+                for id in ring.iter().map(|r| r % shapes.len()) {
+                    if !ids.contains(&id) {
+                        ids.push(id);
+                    }
+                }
+                prop_assume!(ids.len() >= 2);
+                for (k, &id) in ids.iter().enumerate() {
+                    let next = ids[(k + 1) % ids.len()];
+                    b.depends_on(OpId(id), OpId(next)).unwrap();
+                }
+                let planned = b.waves();
+                prop_assert!(matches!(planned, Err(AmbitError::DependencyCycle { .. })));
+                prop_assert_eq!(planned, b.waves_by_levels());
+            }
+        }
     }
 }

@@ -16,7 +16,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 use ambit_dram::{
     AapMode, BankId, BitRow, CampaignTick, CellFault, DramGeometry, FaultCampaign,
@@ -164,8 +165,9 @@ pub struct AmbitMemory {
     /// freed ([`free`](AmbitMemory::free) evicts exactly the entries that
     /// reference the freed handle). Lock-guarded rather than `RefCell` so
     /// shared-reference planning stays safe across OS threads and
-    /// `AmbitMemory` is `Sync`.
-    plan_cache: Mutex<HashMap<BatchOp, Vec<ChunkProgram>>>,
+    /// `AmbitMemory` is `Sync`. Plans are shared slices, so a hit costs a
+    /// reference-count increment rather than a deep copy of every program.
+    plan_cache: Mutex<HashMap<BatchOp, Arc<[ChunkProgram]>>>,
     /// Cache hit/miss counts, mirrored into
     /// `ambit_driver_plan_cache_{hits,misses}` when telemetry is attached.
     /// Atomics (matching the telemetry crate's counters) so concurrent
@@ -195,6 +197,54 @@ struct DriverTelemetry {
     plan_cache_misses: Counter,
     /// Weak cells repaired proactively at allocation time.
     preremaps: Counter,
+    /// Host time of each batch phase, microseconds, indexed by
+    /// [`BatchPhase`].
+    batch_phase_us: [Histogram; BatchPhase::LABELS.len()],
+}
+
+/// The host-side phases of one `execute_batch` call, timed into
+/// `ambit_batch_phase_host_us{phase}` while telemetry is attached.
+#[derive(Debug, Clone, Copy)]
+enum BatchPhase {
+    /// Dependency planning (`BatchBuilder::waves`).
+    Waves,
+    /// Plan-cache lookups, plus validation and compilation on misses.
+    Plan,
+    /// The issue loop: timing for every policy, and the functional work
+    /// too unless the batch fans out.
+    Issue,
+    /// The threaded functional pass over per-bank queues.
+    Fanout,
+}
+
+impl BatchPhase {
+    /// The `phase` label of each variant, indexed by discriminant.
+    const LABELS: [&'static str; 4] = ["waves", "plan", "issue", "fanout"];
+}
+
+/// Per-phase host stopwatch for one batch. Inert — it never reads the
+/// clock — unless telemetry is attached.
+struct PhaseClock {
+    last: Option<Instant>,
+    us: [f64; BatchPhase::LABELS.len()],
+}
+
+impl PhaseClock {
+    fn new(on: bool) -> Self {
+        PhaseClock {
+            last: on.then(Instant::now),
+            us: [0.0; BatchPhase::LABELS.len()],
+        }
+    }
+
+    /// Charges the time since the previous lap to `phase`.
+    fn lap(&mut self, phase: BatchPhase) {
+        if let Some(last) = &mut self.last {
+            let now = Instant::now();
+            self.us[phase as usize] += now.duration_since(*last).as_secs_f64() * 1e6;
+            *last = now;
+        }
+    }
 }
 
 impl DriverTelemetry {
@@ -227,6 +277,17 @@ impl DriverTelemetry {
             "Weak rows remapped onto spares at allocation time from the installed chip profile",
             &[],
         );
+        let batch_phase_us = BatchPhase::LABELS.map(|phase| {
+            registry.histogram(
+                "ambit_batch_phase_host_us",
+                "Host wall time of each execute_batch phase, microseconds \
+                 (fanout is 0 for batches that do not run threaded)",
+                &[("phase", phase)],
+                &[
+                    1.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0, 30000.0, 100000.0,
+                ],
+            )
+        });
         DriverTelemetry {
             registry,
             latency_ns,
@@ -235,6 +296,7 @@ impl DriverTelemetry {
             plan_cache_hits,
             plan_cache_misses,
             preremaps,
+            batch_phase_us,
         }
     }
 
@@ -295,7 +357,15 @@ impl DriverTelemetry {
     /// Records one completed batch: per-op counters/histograms, a
     /// `driver.batch` span, and per-bank occupancy gauges from the timer's
     /// busy-time attribution.
-    fn record_batch(&mut self, receipt: &BatchReceipt, mnemonics: &[&'static str]) {
+    fn record_batch(
+        &mut self,
+        receipt: &BatchReceipt,
+        mnemonics: &[&'static str],
+        phases: &PhaseClock,
+    ) {
+        for (histogram, &us) in self.batch_phase_us.iter().zip(&phases.us) {
+            histogram.observe(us);
+        }
         for (op_receipt, &mnemonic) in receipt.per_op.iter().zip(mnemonics) {
             self.op_counter(mnemonic).inc();
             self.latency_ns
@@ -967,14 +1037,17 @@ impl AmbitMemory {
         policy: IssuePolicy,
         mut traffic: Option<&mut FrFcfsScheduler>,
     ) -> Result<BatchReceipt> {
+        let mut clock = PhaseClock::new(self.telemetry.is_some());
         let waves = batch.waves()?;
+        clock.lap(BatchPhase::Waves);
         // Upfront validation and compilation: no command issues unless the
         // whole batch is well-formed.
-        let plans: Vec<Vec<ChunkProgram>> = batch
+        let plans: Vec<Arc<[ChunkProgram]>> = batch
             .ops
             .iter()
             .map(|entry| self.plan_op(entry))
             .collect::<Result<_>>()?;
+        clock.lap(BatchPhase::Plan);
 
         let busy_before: Vec<u64> = (0..self.ctrl.timer().tracked_banks())
             .map(|b| self.ctrl.timer().bank_busy_ps(b))
@@ -1016,7 +1089,7 @@ impl AmbitMemory {
             let mut wave_end = 0u64;
             for &i in wave {
                 let mut op_total: Option<OpReceipt> = None;
-                for chunk in &plans[i] {
+                for chunk in plans[i].iter() {
                     if let Some(tr) = traffic.as_deref_mut() {
                         tr.service_arrived(self.ctrl.timer_mut())?;
                     }
@@ -1050,6 +1123,7 @@ impl AmbitMemory {
         if let Some(tr) = traffic {
             tr.service_arrived(self.ctrl.timer_mut())?;
         }
+        clock.lap(BatchPhase::Issue);
 
         if threaded {
             // Functional pass: queue every chunk program on its bank in the
@@ -1063,13 +1137,14 @@ impl AmbitMemory {
                 vec![Vec::new(); geometry.total_banks()];
             for wave in &waves {
                 for &i in wave {
-                    for chunk in &plans[i] {
+                    for chunk in plans[i].iter() {
                         queues[chunk.bank.flat_index(&geometry)]
                             .push((chunk.subarray, chunk.program.as_slice()));
                     }
                 }
             }
             self.ctrl.run_bank_queues(&queues, &mut self.pool)?;
+            clock.lap(BatchPhase::Fanout);
         }
 
         let per_op: Vec<OpReceipt> = per_op
@@ -1095,7 +1170,7 @@ impl AmbitMemory {
         if let Some(tel) = &mut self.telemetry {
             let mnemonics: Vec<&'static str> =
                 batch.ops.iter().map(|op| op.mnemonic()).collect();
-            tel.record_batch(&receipt, &mnemonics);
+            tel.record_batch(&receipt, &mnemonics, &clock);
         }
         Ok(receipt)
     }
@@ -1108,7 +1183,7 @@ impl AmbitMemory {
     ///
     /// Failed plans are not cached: an op that validated badly once is
     /// recompiled (and re-fails) on retry, so error reporting stays exact.
-    fn plan_op(&self, entry: &BatchOp) -> Result<Vec<ChunkProgram>> {
+    fn plan_op(&self, entry: &BatchOp) -> Result<Arc<[ChunkProgram]>> {
         let cached = self.plan_cache().get(entry).cloned();
         if let Some(hit) = cached {
             self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -1122,19 +1197,19 @@ impl AmbitMemory {
         // should not wait on it. A racing miss on the same shape just
         // compiles twice and last-insert wins — both compiles are
         // deterministic functions of immutable chunk layouts.
-        let chunks = self.plan_op_uncached(entry)?;
+        let chunks: Arc<[ChunkProgram]> = self.plan_op_uncached(entry)?.into();
         self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
         if let Some(tel) = &self.telemetry {
             tel.plan_cache_misses.inc();
         }
-        self.plan_cache().insert(entry.clone(), chunks.clone());
+        self.plan_cache().insert(entry.clone(), Arc::clone(&chunks));
         Ok(chunks)
     }
 
     /// The locked plan cache. A thread that panicked while holding the
     /// lock may have left the map half-updated; the cache is only a memo,
     /// so recovery clears it and the next lookups recompile.
-    fn plan_cache(&self) -> MutexGuard<'_, HashMap<BatchOp, Vec<ChunkProgram>>> {
+    fn plan_cache(&self) -> MutexGuard<'_, HashMap<BatchOp, Arc<[ChunkProgram]>>> {
         self.plan_cache.lock().unwrap_or_else(|poisoned| {
             self.plan_cache.clear_poison();
             let mut cache = poisoned.into_inner();
@@ -1836,6 +1911,33 @@ mod tests {
         assert_eq!(spans[0].duration_ns(), r1.latency_ps() / PS_PER_NS);
         // Per-bank ACT counters flowed through to the controller level.
         assert!(reg.counter_family_total("ambit_acts_total").unwrap() > 0);
+    }
+
+    #[test]
+    fn batch_phases_are_timed_only_with_telemetry() {
+        let mut mem = memory();
+        let bits = mem.row_bits();
+        let a = mem.alloc(bits).unwrap();
+        let d = mem.alloc(bits).unwrap();
+        let mut batch = BatchBuilder::new();
+        batch.bitwise(BitwiseOp::Not, a, None, d);
+        let parallel = IssuePolicy::BankParallel;
+        mem.execute_batch(&batch, parallel).unwrap();
+        let reg = Registry::default();
+        mem.set_telemetry(reg.clone());
+        mem.execute_batch(&batch, parallel).unwrap();
+        mem.execute_batch(&batch, IssuePolicy::Serial).unwrap();
+        for phase in ["waves", "plan", "issue", "fanout"] {
+            let h = reg
+                .histogram_snapshot("ambit_batch_phase_host_us", &[("phase", phase)])
+                .unwrap();
+            assert_eq!(h.count, 2, "one per batch since attach ({phase})");
+            assert!(h.sum >= 0.0);
+        }
+        let fanout = reg
+            .histogram_snapshot("ambit_batch_phase_host_us", &[("phase", "fanout")])
+            .unwrap();
+        assert_eq!(fanout.sum, 0.0, "neither batch ran threaded");
     }
 
     #[test]

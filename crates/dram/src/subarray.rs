@@ -252,6 +252,11 @@ pub struct Subarray {
     /// Shared all-zero row standing in for never-written storage slots on
     /// the fast path (avoids materializing a row per activation).
     zeros: BitRow,
+    /// The sense row of the last activation, parked by
+    /// [`precharge`](Subarray::precharge) so the next activation from the
+    /// precharged state senses into it in place instead of allocating.
+    /// Its contents are stale and always fully overwritten.
+    parked_sense: Option<BitRow>,
     /// Optional telemetry counters for the fast/slow charge-share split.
     word_parallel_counter: Option<Counter>,
     scalar_counter: Option<Counter>,
@@ -277,6 +282,7 @@ impl Subarray {
             tra_fault_threshold: 0,
             force_scalar: false,
             zeros: BitRow::zeros(bits),
+            parked_sense: None,
             word_parallel_counter: None,
             scalar_counter: None,
         }
@@ -528,6 +534,18 @@ impl Subarray {
     /// rows are overwritten from the current sense amplifiers (the RowClone /
     /// AAP copy mechanism) and the sensed value is unchanged.
     ///
+    /// The command path allocates nothing in the steady state: the sense
+    /// row is the buffer the previous [`precharge`](Subarray::precharge)
+    /// parked, filled in place. A single-wordline activation from the
+    /// precharged state with no stuck-at faults installed also skips the
+    /// restore copy, because it would write back exactly the stored value:
+    /// the row is sensed unchanged (or complemented through bitline-bar,
+    /// and restored through bitline-bar, which complements it back), and
+    /// the stored value already carries every fault installed so far. Only
+    /// the retention stamp of the restore remains. With faults installed,
+    /// multi-row activations, and back-to-back (copy) activations, the
+    /// restore runs in full.
+    ///
     /// # Errors
     ///
     /// * [`DramError::EmptyActivation`] if `wordlines` is empty.
@@ -567,7 +585,11 @@ impl Subarray {
         match &self.state {
             State::Precharged => {
                 self.check_retention(deduped.as_slice())?;
-                let sense = self.charge_share(deduped.as_slice())?;
+                let mut sense = self
+                    .parked_sense
+                    .take()
+                    .unwrap_or_else(|| BitRow::zeros(self.bits));
+                self.charge_share(deduped.as_slice(), &mut sense)?;
                 self.stats.activations += 1;
                 if deduped.as_slice().len() >= 2 {
                     self.stats.multi_row_activations += 1;
@@ -575,7 +597,10 @@ impl Subarray {
                 if deduped.as_slice().len() == 3 {
                     self.stats.triple_row_activations += 1;
                 }
-                self.restore(deduped.as_slice(), &sense);
+                match deduped.as_slice() {
+                    [wl] if self.faults.is_empty() => self.stamp_refresh(wl.row),
+                    raised => self.restore(raised, &sense),
+                }
                 self.state = State::Activated {
                     sense,
                     raised: deduped,
@@ -621,10 +646,10 @@ impl Subarray {
     /// Returns [`DramError::BankNotActivated`] if the subarray is already
     /// precharged.
     pub fn precharge(&mut self) -> Result<()> {
-        match self.state {
+        match std::mem::replace(&mut self.state, State::Precharged) {
             State::Precharged => Err(DramError::BankNotActivated),
-            State::Activated { .. } => {
-                self.state = State::Precharged;
+            State::Activated { sense, .. } => {
+                self.parked_sense = Some(sense);
                 self.stats.precharges += 1;
                 Ok(())
             }
@@ -697,7 +722,7 @@ impl Subarray {
     }
 
     /// Computes the per-bitline charge-sharing outcome for an activation
-    /// from the precharged state.
+    /// from the precharged state into `sense`, overwriting every bit of it.
     ///
     /// The 3-row case — the only multi-row shape the Ambit protocol issues —
     /// takes the word-parallel kernel (64 bitlines per u64 operation) unless
@@ -714,33 +739,32 @@ impl Subarray {
     /// Armed TRAs count under [`SubarrayStats::scalar_charge_shares`]
     /// (telemetry `path="scalar"`), the path that consumes the fault RNG,
     /// so the counters read the same whichever kernel resolved them.
-    fn charge_share(&mut self, wordlines: &[Wordline]) -> Result<BitRow> {
-        if wordlines.len() == 1 {
+    fn charge_share(&mut self, wordlines: &[Wordline], sense: &mut BitRow) -> Result<()> {
+        if let [wl] = wordlines {
             // Common case: single-row activation senses the row directly
             // (negated through an n-wordline).
-            let wl = wordlines[0];
-            let data = self.peek_row(wl.row);
-            return Ok(match wl.side {
-                BitlineSide::Bitline => data,
-                BitlineSide::BitlineBar => data.not(),
-            });
+            sense.copy_from(self.row_ref(self.resolve(wl.row)));
+            if wl.side == BitlineSide::BitlineBar {
+                sense.not_assign();
+            }
+            return Ok(());
         }
         if wordlines.len() == 3 && !self.force_scalar {
-            let mut sense = self.charge_share_tra_word_parallel(wordlines);
+            self.charge_share_tra_word_parallel(wordlines, sense);
             if self.tra_fault_threshold == 0 {
                 self.stats.word_parallel_charge_shares += 1;
                 if let Some(c) = &self.word_parallel_counter {
                     c.inc();
                 }
-                return Ok(sense);
+                return Ok(());
             }
-            self.inject_tra_faults(&mut sense);
+            self.inject_tra_faults(sense);
             self.count_scalar_charge_share();
-            return Ok(sense);
+            return Ok(());
         }
-        let sense = self.charge_share_scalar(wordlines)?;
+        *sense = self.charge_share_scalar(wordlines)?;
         self.count_scalar_charge_share();
-        Ok(sense)
+        Ok(())
     }
 
     fn count_scalar_charge_share(&mut self) {
@@ -770,10 +794,9 @@ impl Subarray {
     /// so the total is ±1 or ±3) — a tie is arithmetically impossible, which
     /// is why this path needs no tie-break policy and draws nothing from the
     /// RNG: it is bit-exact with the scalar reference by construction.
-    fn charge_share_tra_word_parallel(&self, wordlines: &[Wordline]) -> BitRow {
+    fn charge_share_tra_word_parallel(&self, wordlines: &[Wordline], sense: &mut BitRow) {
         let bar = |wl: &Wordline| wl.side == BitlineSide::BitlineBar;
         let row = |wl: &Wordline| self.row_ref(self.resolve(wl.row));
-        let mut sense = BitRow::zeros(self.bits);
         sense.majority_signed_into(
             row(&wordlines[0]),
             bar(&wordlines[0]),
@@ -782,7 +805,6 @@ impl Subarray {
             row(&wordlines[2]),
             bar(&wordlines[2]),
         );
-        sense
     }
 
     /// Bit-serial scalar reference for multi-row charge sharing: per-bitline
@@ -837,12 +859,9 @@ impl Subarray {
     /// nothing (a fresh row is cloned only the first time a slot is
     /// written).
     fn restore(&mut self, wordlines: &[Wordline], sense: &BitRow) {
-        let retention_armed = self.retention_ns.is_some();
         for wl in wordlines {
+            self.stamp_refresh(wl.row);
             let row = self.resolve(wl.row);
-            if retention_armed {
-                self.last_refresh_ns[row] = self.now_ns;
-            }
             match &mut self.storage[row] {
                 Some(value) => {
                     value.copy_from(sense);
@@ -866,6 +885,15 @@ impl Subarray {
                     }
                 }
             }
+        }
+    }
+
+    /// Marks logical row `row` as refreshed now, if a retention window is
+    /// armed (restoring a cell recharges it).
+    fn stamp_refresh(&mut self, row: usize) {
+        if self.retention_ns.is_some() {
+            let row = self.resolve(row);
+            self.last_refresh_ns[row] = self.now_ns;
         }
     }
 
@@ -1186,5 +1214,103 @@ mod tests {
         assert_eq!(s.triple_row_activations, 1);
         assert_eq!(s.multi_row_activations, 1);
         assert_eq!(s.precharges, 2);
+    }
+
+    #[test]
+    fn fault_installed_after_write_survives_single_row_activation() {
+        let mut sa = Subarray::new(8, 64);
+        sa.poke_row(3, BitRow::zeros(64));
+        sa.inject_fault(3, 5, CellFault::StuckAtOne).unwrap();
+        let sensed = sa.activate(&[Wordline::data(3)]).unwrap().clone();
+        assert!(sensed.get(5), "the stuck cell is sensed");
+        // A back-to-back copy drives zeros from another row into row 3; the
+        // stuck cell must still win after the next single-row activation.
+        sa.precharge().unwrap();
+        sa.activate(&[Wordline::data(0)]).unwrap();
+        sa.activate(&[Wordline::data(3)]).unwrap();
+        sa.precharge().unwrap();
+        let sensed = sa.activate(&[Wordline::data(3)]).unwrap().clone();
+        sa.precharge().unwrap();
+        assert_eq!(sensed.count_ones(), 1);
+        assert!(sensed.get(5));
+        assert_eq!(sa.peek_row(3), sensed);
+    }
+
+    #[test]
+    fn bar_side_single_row_activation_leaves_row_byte_identical() {
+        let mut sa = Subarray::new(8, 136);
+        let data = filled(136, 21);
+        sa.poke_row(2, data.clone());
+        for _ in 0..3 {
+            let sensed = sa.activate(&[Wordline::negated(2)]).unwrap().clone();
+            sa.precharge().unwrap();
+            assert_eq!(sensed, data.not());
+            assert_eq!(sa.peek_row(2).to_bytes(), data.to_bytes());
+        }
+        // A never-written row still reads as zeros through either side.
+        let sensed = sa.activate(&[Wordline::negated(6)]).unwrap().clone();
+        sa.precharge().unwrap();
+        assert_eq!(sensed, BitRow::ones(136));
+        assert_eq!(sa.peek_row(6), BitRow::zeros(136));
+    }
+
+    #[test]
+    fn single_row_activation_still_stamps_armed_retention() {
+        let mut sa = Subarray::new(8, 64);
+        sa.set_retention_window(Some(100));
+        for row in 0..3 {
+            sa.poke_row(row, BitRow::ones(64));
+        }
+        sa.advance_time_ns(80);
+        for row in 0..3 {
+            sa.activate(&[Wordline::data(row)]).unwrap();
+            sa.precharge().unwrap();
+        }
+        // 160 ns since the pokes, but only 80 since the activations
+        // refreshed the rows.
+        sa.advance_time_ns(80);
+        let tra = [Wordline::data(0), Wordline::data(1), Wordline::data(2)];
+        assert!(sa.activate(&tra).is_ok());
+        sa.precharge().unwrap();
+        // Without a refreshing activation the window does expire.
+        sa.advance_time_ns(101);
+        assert!(matches!(
+            sa.activate(&tra).unwrap_err(),
+            DramError::RetentionViolation { .. }
+        ));
+    }
+
+    #[test]
+    fn parked_sense_row_never_leaks_into_the_next_result() {
+        // 130 bits: the last word holds two live bits and 62 masked ones.
+        let bits = 130;
+        let mut sa = Subarray::new(8, bits);
+        let (a, b) = (filled(bits, 31), filled(bits, 32));
+        sa.poke_row(0, a.clone());
+        sa.poke_row(1, b.clone());
+        // Park an all-ones sense row: row 7 was never written, read through
+        // bitline-bar.
+        let ones = BitRow::ones(bits);
+        assert_eq!(*sa.activate(&[Wordline::negated(7)]).unwrap(), ones);
+        sa.precharge().unwrap();
+        // TRA with the zero row 2: AND.
+        let tra = [Wordline::data(0), Wordline::data(1), Wordline::data(2)];
+        let sensed = sa.activate(&tra).unwrap().clone();
+        sa.precharge().unwrap();
+        assert_eq!(sensed, a.and(&b));
+        assert_eq!(sensed.words()[2] >> 2, 0, "tail stays masked");
+        // A bar-side TRA complements whole words, tail included.
+        for row in 0..3 {
+            sa.poke_row(row, BitRow::zeros(bits));
+        }
+        let bar = Wordline::negated;
+        let tra = [bar(0), bar(1), Wordline::data(2)];
+        let sensed = sa.activate(&tra).unwrap().clone();
+        sa.precharge().unwrap();
+        assert_eq!(sensed, ones);
+        assert_eq!(sensed.words()[2], 0b11, "tail stays masked");
+        // Then a single-row activation senses exactly the stored row.
+        sa.poke_row(4, b.clone());
+        assert_eq!(*sa.activate(&[Wordline::data(4)]).unwrap(), b);
     }
 }

@@ -7,7 +7,7 @@
 //! freely. Handles are cheap clones; after registration the hot path only
 //! performs relaxed atomic operations and never takes the registry lock.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::json;
 use crate::metrics::{Counter, Gauge, Histogram};
@@ -112,7 +112,7 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
-        let mut families = self.inner.families.lock().expect("registry poisoned");
+        let mut families = lock(&self.inner.families);
         if let Some(family) = families.iter_mut().find(|f| f.name == name) {
             assert!(
                 family.kind == kind,
@@ -198,26 +198,23 @@ impl Registry {
 
     /// Records a completed span into the trace buffer.
     pub fn record_span(&self, span: Span) {
-        self.inner.spans.lock().expect("registry poisoned").push(span);
+        lock(&self.inner.spans).push(span);
     }
 
     /// Records a point-in-time event into the trace buffer.
     pub fn record_event(&self, event: Event) {
-        self.inner
-            .events
-            .lock()
-            .expect("registry poisoned")
+        lock(&self.inner.events)
             .push(event);
     }
 
     /// All recorded spans, in recording order.
     pub fn spans(&self) -> Vec<Span> {
-        self.inner.spans.lock().expect("registry poisoned").clone()
+        lock(&self.inner.spans).clone()
     }
 
     /// All recorded events, in recording order.
     pub fn events(&self) -> Vec<Event> {
-        self.inner.events.lock().expect("registry poisoned").clone()
+        lock(&self.inner.events).clone()
     }
 
     /// Current value of a counter series, if registered.
@@ -231,7 +228,7 @@ impl Registry {
     /// Sum of every series in a counter family (e.g. total ACTs across all
     /// per-bank series), if the family is registered.
     pub fn counter_family_total(&self, name: &str) -> Option<u64> {
-        let families = self.inner.families.lock().expect("registry poisoned");
+        let families = lock(&self.inner.families);
         let family = families.iter().find(|f| f.name == name)?;
         if family.kind != Kind::Counter {
             return None;
@@ -274,7 +271,7 @@ impl Registry {
     }
 
     fn lookup(&self, name: &str, labels: &[(&str, &str)]) -> Option<Instrument> {
-        let families = self.inner.families.lock().expect("registry poisoned");
+        let families = lock(&self.inner.families);
         let family = families.iter().find(|f| f.name == name)?;
         family
             .series
@@ -295,7 +292,7 @@ impl Registry {
     /// within a family, so output is deterministic for a deterministic run.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        let families = self.inner.families.lock().expect("registry poisoned");
+        let families = lock(&self.inner.families);
         for family in families.iter() {
             out.push_str(&format!("# HELP {} {}\n", family.name, family.help));
             out.push_str(&format!(
@@ -401,6 +398,15 @@ fn attrs_json(attrs: &[(String, AttrValue)]) -> String {
 
 /// Formats `{k="v",...}` (empty string when there are no labels), with an
 /// optional trailing `le` label for histogram buckets.
+/// Locks one of the registry's mutexes, recovering from poisoning. Every
+/// update under these locks is a single `push`, and the only panics that
+/// can fire while one is held (registration's kind and bucket-bound checks)
+/// fire before any update, so the data is whole whichever thread panicked:
+/// a crashed instrumented thread must not take the scrape down.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn label_block(labels: &Labels, le: Option<&str>) -> String {
     if labels.is_empty() && le.is_none() {
         return String::new();
@@ -506,5 +512,34 @@ mod tests {
         );
         let event = Json::parse(lines[1]).unwrap();
         assert_eq!(event.get("attrs").unwrap().get("stuck"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn poisoned_locks_recover_and_scrape() {
+        let reg = Registry::new();
+        reg.counter("jobs_total", "Jobs", &[]).inc();
+        reg.record_span(Span::new("before", 0, 1));
+        // A kind mismatch panics inside registration with the family lock
+        // held; a second thread panics holding the span lock.
+        let shared = reg.clone();
+        let mismatch = std::thread::spawn(move || {
+            shared.gauge("jobs_total", "Jobs", &[]);
+        });
+        assert!(mismatch.join().is_err());
+        let shared = reg.clone();
+        let crashed = std::thread::spawn(move || {
+            let _spans = shared.inner.spans.lock();
+            panic!("instrumented thread crashed");
+        });
+        assert!(crashed.join().is_err());
+        assert!(reg.inner.families.is_poisoned());
+        assert!(reg.inner.spans.is_poisoned());
+
+        reg.counter("jobs_total", "Jobs", &[]).inc();
+        reg.record_span(Span::new("after", 1, 2));
+        assert!(reg.render_prometheus().contains("jobs_total 2"));
+        assert_eq!(reg.counter_value("jobs_total", &[]), Some(2));
+        assert_eq!(reg.spans().len(), 2);
+        assert_eq!(reg.export_jsonl().lines().count(), 2);
     }
 }

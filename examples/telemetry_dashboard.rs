@@ -22,13 +22,17 @@
 //!   bank-parallel issue because the device is fault-armed or the thread
 //!   budget is one — next to the `ambit_pool_*` counters of the threaded
 //!   path's scoped-thread fan-out (jobs, threads spawned, queue wait),
+//! * `ambit_batch_phase_host_us{phase}`: where each batch spent host time —
+//!   dependency planning (`waves`), plan-cache lookups and compilation
+//!   (`plan`), the issue loop (`issue`) and the threaded functional pass
+//!   (`fanout`) — printed as a per-phase split in the run summary,
 //! * the analytic Figure 9 envelope as gauges, for comparison on the same
 //!   scrape.
 //!
 //! Everything downstream of the device model is denominated in *simulated*
 //! DRAM time, so those metrics are bit-for-bit reproducible. The
-//! `ambit_pool_queue_wait_us` histogram is the one exception: it times
-//! real OS threads and shifts between runs. Run with:
+//! `ambit_pool_queue_wait_us` and `ambit_batch_phase_host_us` histograms
+//! are the exceptions: they time the host and shift between runs. Run with:
 //! `cargo run --release --example telemetry_dashboard`
 
 use ambit_repro::core::{
@@ -149,6 +153,14 @@ fn main() -> Result<(), AmbitError> {
             .counter_value("ambit_batch_path_total", &[("path", path), ("reason", reason)])
             .unwrap_or(0);
         println!("#   path={path} reason={reason}: {n}");
+    }
+    println!("# batch host time by phase (ambit_batch_phase_host_us, wall clock):");
+    for phase in ["waves", "plan", "issue", "fanout"] {
+        if let Some(h) =
+            registry.histogram_snapshot("ambit_batch_phase_host_us", &[("phase", phase)])
+        {
+            println!("#   {phase}: {:.1} us over {} batches", h.sum, h.count);
+        }
     }
     println!();
     print!("{}", registry.render_prometheus());
