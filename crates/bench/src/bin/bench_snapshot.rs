@@ -32,7 +32,7 @@
 //! A third mode benchmarks the functional data plane itself:
 //!
 //! * `bench_snapshot hotpath` sweeps row widths {1 KB, 4 KB, 8 KB} and op
-//!   mixes {tra, copy, mixed} over the word-parallel charge-share fast
+//!   mixes {tra, mixed} over the word-parallel charge-share fast
 //!   path versus the forced bit-serial scalar reference
 //!   ([`ambit_dram::Subarray::set_scalar_reference`]), plus one
 //!   fault-armed point (word kernel plus per-bitline fault draws against
@@ -689,16 +689,6 @@ fn run_hotpath_mix(
                 last_sense = Some(sa.activate(&wls).expect("TRA executes").clone());
                 sa.precharge().expect("precharge after TRA");
             }
-            // RowClone-FPM copies: ACTIVATE src, back-to-back ACTIVATE dst.
-            "copy" => {
-                sa.activate(&[Wordline::data(i % rows)]).expect("activate src");
-                last_sense = Some(
-                    sa.activate(&[Wordline::data((i + 3) % rows)])
-                        .expect("copy activate")
-                        .clone(),
-                );
-                sa.precharge().expect("precharge after copy");
-            }
             // Alternating copy and TRA, the shape of a real AAP program.
             "mixed" => {
                 if i % 2 == 0 {
@@ -935,7 +925,9 @@ fn hotpath_main() -> ExitCode {
     let reps_cache: u64 = if quick_mode() { 16 } else { 64 };
     let mut results = Vec::new();
     for row_bytes in [1024usize, 4096, 8192] {
-        for mix in ["tra", "copy", "mixed"] {
+        // No copy-only mix: forced-scalar mode changes only multi-row
+        // charge shares, so a copy-only loop would time identical code.
+        for mix in ["tra", "mixed"] {
             results.push(measure_hotpath(row_bytes, mix, reps_tra, 0.0));
         }
     }

@@ -446,8 +446,14 @@ impl AmbitController {
     ///
     /// Returns an address error if `k` is out of the D-group.
     pub fn peek_data(&self, bank: BankId, subarray: usize, k: usize) -> Result<BitRow> {
+        self.peek_data_row(bank, subarray, k).cloned()
+    }
+
+    /// Borrowing backdoor read of data row `Dk`: [`peek_data`](Self::peek_data)
+    /// without the row copy.
+    pub(crate) fn peek_data_row(&self, bank: BankId, subarray: usize, k: usize) -> Result<&BitRow> {
         let row = self.layout.data_row(k)?;
-        Ok(self.device.bank(bank).subarray(subarray).peek_row(row))
+        Ok(self.device.bank(bank).subarray(subarray).row(row))
     }
 
     /// Ensures C0/C1 hold their constants in the given subarray (the

@@ -1489,7 +1489,7 @@ impl AmbitMemory {
         let meta = self.meta(handle)?;
         let mut out = Vec::with_capacity(meta.bits);
         for chunk in &meta.chunks {
-            let row = self.ctrl.peek_data(chunk.bank, chunk.subarray, chunk.d_index)?;
+            let row = self.ctrl.peek_data_row(chunk.bank, chunk.subarray, chunk.d_index)?;
             for i in 0..row.len() {
                 if out.len() == meta.bits {
                     break;
@@ -1512,7 +1512,7 @@ impl AmbitMemory {
         let row_bits = self.row_bits();
         let mut count = 0;
         for (i, chunk) in meta.chunks.iter().enumerate() {
-            let row = self.ctrl.peek_data(chunk.bank, chunk.subarray, chunk.d_index)?;
+            let row = self.ctrl.peek_data_row(chunk.bank, chunk.subarray, chunk.d_index)?;
             let valid = (meta.bits - i * row_bits).min(row_bits);
             if valid == row_bits {
                 count += row.count_ones();

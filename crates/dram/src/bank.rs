@@ -201,16 +201,7 @@ impl Bank {
     pub fn stats(&self) -> SubarrayStats {
         let mut total = SubarrayStats::default();
         for sa in &self.subarrays {
-            let s = sa.stats();
-            total.activations += s.activations;
-            total.multi_row_activations += s.multi_row_activations;
-            total.triple_row_activations += s.triple_row_activations;
-            total.copy_activations += s.copy_activations;
-            total.precharges += s.precharges;
-            total.column_reads += s.column_reads;
-            total.column_writes += s.column_writes;
-            total.word_parallel_charge_shares += s.word_parallel_charge_shares;
-            total.scalar_charge_shares += s.scalar_charge_shares;
+            total += sa.stats();
         }
         total
     }

@@ -216,16 +216,7 @@ impl DramDevice {
     pub fn stats(&self) -> SubarrayStats {
         let mut total = SubarrayStats::default();
         for bank in &self.banks {
-            let s = bank.stats();
-            total.activations += s.activations;
-            total.multi_row_activations += s.multi_row_activations;
-            total.triple_row_activations += s.triple_row_activations;
-            total.copy_activations += s.copy_activations;
-            total.precharges += s.precharges;
-            total.column_reads += s.column_reads;
-            total.column_writes += s.column_writes;
-            total.word_parallel_charge_shares += s.word_parallel_charge_shares;
-            total.scalar_charge_shares += s.scalar_charge_shares;
+            total += bank.stats();
         }
         total
     }

@@ -24,7 +24,9 @@
 //! (paper Section 3.2, issue 4 — Ambit avoids this by copying, and thereby
 //! refreshing, operands immediately before each TRA).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::AddAssign;
+use std::sync::Arc;
 
 use ambit_telemetry::Counter;
 
@@ -128,6 +130,27 @@ pub struct SubarrayStats {
     /// flip draw), and every charge share the bit-serial scalar reference
     /// resolves (non-TRA arities, forced-scalar mode).
     pub scalar_charge_shares: u64,
+    /// Row buffers the command path filled with a new value: charge-share
+    /// results, bitline-bar complements, copy-on-write splits for column
+    /// writes, and stuck-at fault fixes. Data-side copies and restores
+    /// share the sense row instead and are not counted; each count is one
+    /// full row written by the host.
+    pub rows_materialized: u64,
+}
+
+impl AddAssign for SubarrayStats {
+    fn add_assign(&mut self, s: SubarrayStats) {
+        self.activations += s.activations;
+        self.multi_row_activations += s.multi_row_activations;
+        self.triple_row_activations += s.triple_row_activations;
+        self.copy_activations += s.copy_activations;
+        self.precharges += s.precharges;
+        self.column_reads += s.column_reads;
+        self.column_writes += s.column_writes;
+        self.word_parallel_charge_shares += s.word_parallel_charge_shares;
+        self.scalar_charge_shares += s.scalar_charge_shares;
+        self.rows_materialized += s.rows_materialized;
+    }
 }
 
 /// Upper bound on simultaneously raised wordlines before the dedup list
@@ -135,6 +158,14 @@ pub struct SubarrayStats {
 /// inline capacity covers every protocol-issued activation without
 /// allocating.
 const INLINE_WORDLINES: usize = 4;
+
+/// Dead row buffers a subarray keeps for reuse. A bank-parallel batch can
+/// leave several results per subarray dead before the next charge share
+/// needs a buffer; 8 covers the bitmap workloads with no steady-state
+/// allocation. That matters on the threaded fan-out, whose short-lived
+/// worker threads would otherwise allocate rows from per-thread malloc
+/// arenas and grow the heap batch after batch.
+const SPARE_ROWS: usize = 8;
 
 /// A small list of wordlines that stays inline (no heap allocation) for all
 /// activations the Ambit command set can issue, spilling to a `Vec` only for
@@ -187,7 +218,7 @@ impl WordlineList {
 enum State {
     Precharged,
     Activated {
-        sense: BitRow,
+        sense: Arc<BitRow>,
         raised: WordlineList,
     },
 }
@@ -198,6 +229,13 @@ enum State {
 /// is purely functional (no timing); timing and energy are accounted by
 /// [`CommandTimer`](crate::controller::CommandTimer) and
 /// [`EnergyModel`](crate::energy::EnergyModel) at the controller level.
+///
+/// Rows are shared, copy-on-write buffers: a data-side copy or restore
+/// (RowClone-FPM, the AAP copy, the restore of a TRA) makes the written rows
+/// share the sense amplifiers' row instead of copying its bits, and a new
+/// buffer is written only where a new value arises (see
+/// [`SubarrayStats::rows_materialized`]). Cloning a `Subarray` is therefore
+/// cheap, and later writes to either copy never show up in the other.
 ///
 /// # Examples
 ///
@@ -225,9 +263,10 @@ pub struct Subarray {
     rows: usize,
     bits: usize,
     /// Dense physical-row-indexed storage; `None` means the row was never
-    /// written and holds all-zero cells. Row payloads are still allocated
-    /// lazily, so huge geometries stay cheap to instantiate.
-    storage: Vec<Option<BitRow>>,
+    /// written and holds all-zero cells. Row payloads are allocated lazily,
+    /// so huge geometries stay cheap to instantiate, and shared between
+    /// every row (and the sense amplifiers) holding the same value.
+    storage: Vec<Option<Arc<BitRow>>>,
     state: State,
     tie_break: TieBreak,
     tie_rng: u64,
@@ -238,8 +277,9 @@ pub struct Subarray {
     last_refresh_ns: Vec<u64>,
     now_ns: u64,
     stats: SubarrayStats,
-    /// Stuck-at cell faults, keyed by (physical row, bit).
-    faults: HashMap<(usize, usize), CellFault>,
+    /// Stuck-at cell faults, keyed by (physical row, bit); ordered so one
+    /// row's faults are a contiguous range.
+    faults: BTreeMap<(usize, usize), CellFault>,
     /// Row remapping (logical → physical) installed by post-test repair;
     /// identity unless a spare-row remap was installed.
     row_map: Vec<usize>,
@@ -249,14 +289,14 @@ pub struct Subarray {
     /// When set, every multi-row charge share takes the bit-serial scalar
     /// reference path even if the word-parallel fast path would apply.
     force_scalar: bool,
-    /// Shared all-zero row standing in for never-written storage slots on
-    /// the fast path (avoids materializing a row per activation).
-    zeros: BitRow,
-    /// The sense row of the last activation, parked by
-    /// [`precharge`](Subarray::precharge) so the next activation from the
-    /// precharged state senses into it in place instead of allocating.
-    /// Its contents are stale and always fully overwritten.
-    parked_sense: Option<BitRow>,
+    /// Shared all-zero row standing in for never-written storage slots.
+    zeros: Arc<BitRow>,
+    /// Row buffers whose values are dead, owned by nothing else (until the
+    /// subarray is cloned): parked by [`precharge`](Subarray::precharge)
+    /// or released when their last row was overwritten, and reused by the
+    /// next new row values instead of allocating. At most [`SPARE_ROWS`].
+    /// Their contents are stale and always fully overwritten.
+    spares: Vec<Arc<BitRow>>,
     /// Optional telemetry counters for the fast/slow charge-share split.
     word_parallel_counter: Option<Counter>,
     scalar_counter: Option<Counter>,
@@ -277,12 +317,12 @@ impl Subarray {
             last_refresh_ns: vec![0; rows],
             now_ns: 0,
             stats: SubarrayStats::default(),
-            faults: HashMap::new(),
+            faults: BTreeMap::new(),
             row_map: (0..rows).collect(),
             tra_fault_threshold: 0,
             force_scalar: false,
-            zeros: BitRow::zeros(bits),
-            parked_sense: None,
+            zeros: Arc::new(BitRow::zeros(bits)),
+            spares: Vec::new(),
             word_parallel_counter: None,
             scalar_counter: None,
         }
@@ -370,9 +410,13 @@ impl Subarray {
             });
         }
         self.faults.insert((row, bit), fault);
-        // The fault takes effect immediately on the stored value.
-        let data = self.peek_physical(row);
-        self.storage[row] = Some(self.apply_faults(row, data));
+        // The fault takes effect immediately on the stored value, so every
+        // stored row always carries every fault installed on it.
+        let mut value = self.storage[row]
+            .take()
+            .unwrap_or_else(|| Arc::clone(&self.zeros));
+        self.apply_faults(row, &mut value);
+        self.storage[row] = Some(value);
         Ok(())
     }
 
@@ -453,36 +497,56 @@ impl Subarray {
         self.row_map[row]
     }
 
-    fn apply_faults(&self, physical_row: usize, mut data: BitRow) -> BitRow {
-        // Fast path: the common case has no faults at all.
-        if self.faults.is_empty() {
-            return data;
-        }
-        for (&(r, bit), &fault) in &self.faults {
-            if r == physical_row {
-                data.set(
-                    bit,
-                    match fault {
-                        CellFault::StuckAtZero => false,
-                        CellFault::StuckAtOne => true,
-                    },
-                );
+    /// Pins the stuck-at cells of `physical_row` in `value`, copying a
+    /// shared value into a buffer of its own only if a stuck cell actually
+    /// differs (rows without faults, and rows already carrying theirs, are
+    /// left untouched).
+    fn apply_faults(&mut self, physical_row: usize, value: &mut Arc<BitRow>) {
+        let mut copied = false;
+        for (&(_, bit), &fault) in self.faults.range((physical_row, 0)..(physical_row + 1, 0)) {
+            let stuck = fault == CellFault::StuckAtOne;
+            if value.get(bit) != stuck {
+                copied |= Arc::get_mut(value).is_none();
+                Arc::make_mut(value).set(bit, stuck);
             }
         }
-        data
+        if copied {
+            self.stats.rows_materialized += 1;
+        }
     }
 
-    fn peek_physical(&self, row: usize) -> BitRow {
-        self.storage[row]
-            .clone()
-            .unwrap_or_else(|| BitRow::zeros(self.bits))
-    }
-
-    /// Borrowing read of a physical row, with never-written rows resolving
-    /// to the shared all-zero row (the allocation-free fast-path sibling of
-    /// [`peek_physical`](Subarray::peek_physical)).
-    fn row_ref(&self, physical_row: usize) -> &BitRow {
+    /// The shared value of a physical row, with never-written rows
+    /// resolving to the shared all-zero row.
+    fn row_arc(&self, physical_row: usize) -> &Arc<BitRow> {
         self.storage[physical_row].as_ref().unwrap_or(&self.zeros)
+    }
+
+    /// A row buffer to fill with a new value: a parked spare if there is
+    /// one, else a fresh allocation. Counted in
+    /// [`SubarrayStats::rows_materialized`]; the caller overwrites every
+    /// bit.
+    fn fresh_row(&mut self) -> Arc<BitRow> {
+        self.stats.rows_materialized += 1;
+        self.spares
+            .pop()
+            .unwrap_or_else(|| Arc::new(BitRow::zeros(self.bits)))
+    }
+
+    /// Keeps `row` as a spare buffer if nothing else holds it and fewer
+    /// than [`SPARE_ROWS`] are parked; otherwise just drops this reference.
+    fn park(&mut self, mut row: Arc<BitRow>) {
+        if self.spares.len() < SPARE_ROWS && Arc::get_mut(&mut row).is_some() {
+            self.spares.push(row);
+        }
+    }
+
+    /// Writes `value` into a physical row, pinning its stuck-at cells, and
+    /// recycles the overwritten buffer when it was the last holder.
+    fn store(&mut self, physical_row: usize, mut value: Arc<BitRow>) {
+        self.apply_faults(physical_row, &mut value);
+        if let Some(old) = self.storage[physical_row].replace(value) {
+            self.park(old);
+        }
     }
 
     /// Advances the subarray's notion of time (used for retention checks).
@@ -500,13 +564,27 @@ impl Subarray {
         self.last_refresh_ns.fill(self.now_ns);
     }
 
+    /// Borrows a row's cell contents, bypassing the command protocol: the
+    /// allocation-free form of [`peek_row`](Subarray::peek_row).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn row(&self, row: usize) -> &BitRow {
+        assert!(row < self.rows, "row {} out of range {}", row, self.rows);
+        self.row_arc(self.resolve(row))
+    }
+
     /// Directly reads a row's cell contents, bypassing the command protocol.
     ///
     /// Intended for test setup and for the driver's bulk initialization
     /// path; regular accesses should go through activate/read/precharge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
     pub fn peek_row(&self, row: usize) -> BitRow {
-        assert!(row < self.rows, "row {} out of range {}", row, self.rows);
-        self.peek_physical(self.resolve(row))
+        self.row(row).clone()
     }
 
     /// Directly overwrites a row's cell contents, bypassing the protocol.
@@ -517,12 +595,8 @@ impl Subarray {
     pub fn poke_row(&mut self, row: usize, data: BitRow) {
         assert!(row < self.rows, "row {} out of range {}", row, self.rows);
         assert_eq!(data.len(), self.bits, "row width mismatch");
-        let row = self.resolve(row);
-        if self.retention_ns.is_some() {
-            self.last_refresh_ns[row] = self.now_ns;
-        }
-        let data = self.apply_faults(row, data);
-        self.storage[row] = Some(data);
+        self.stamp_refresh(row);
+        self.store(self.resolve(row), Arc::new(data));
     }
 
     /// Issues an ACTIVATE raising the given wordlines simultaneously.
@@ -534,17 +608,18 @@ impl Subarray {
     /// rows are overwritten from the current sense amplifiers (the RowClone /
     /// AAP copy mechanism) and the sensed value is unchanged.
     ///
-    /// The command path allocates nothing in the steady state: the sense
-    /// row is the buffer the previous [`precharge`](Subarray::precharge)
-    /// parked, filled in place. A single-wordline activation from the
-    /// precharged state with no stuck-at faults installed also skips the
-    /// restore copy, because it would write back exactly the stored value:
-    /// the row is sensed unchanged (or complemented through bitline-bar,
-    /// and restored through bitline-bar, which complements it back), and
-    /// the stored value already carries every fault installed so far. Only
-    /// the retention stamp of the restore remains. With faults installed,
-    /// multi-row activations, and back-to-back (copy) activations, the
-    /// restore runs in full.
+    /// No row is copied on this path. A single data-side wordline senses
+    /// by sharing the stored row, and a data-side restore (every row raised
+    /// by a multi-row or back-to-back ACTIVATE) stores a reference to the
+    /// sensed row. A new row value is written only for a multi-row charge
+    /// share, for a complement through bitline-bar, and for a stuck-at
+    /// fault that differs from the value written; its buffer is a dead row
+    /// that a [`precharge`](Subarray::precharge) or an overwrite released,
+    /// when there is one. A single-wordline activation from the precharged
+    /// state restores exactly the stored value (the row is sensed
+    /// unchanged, or complemented through bitline-bar and complemented back
+    /// on restore, and the stored value already carries every installed
+    /// fault), so only the retention stamp of its restore remains.
     ///
     /// # Errors
     ///
@@ -585,11 +660,7 @@ impl Subarray {
         match &self.state {
             State::Precharged => {
                 self.check_retention(deduped.as_slice())?;
-                let mut sense = self
-                    .parked_sense
-                    .take()
-                    .unwrap_or_else(|| BitRow::zeros(self.bits));
-                self.charge_share(deduped.as_slice(), &mut sense)?;
+                let sense = self.charge_share(deduped.as_slice())?;
                 self.stats.activations += 1;
                 if deduped.as_slice().len() >= 2 {
                     self.stats.multi_row_activations += 1;
@@ -598,7 +669,7 @@ impl Subarray {
                     self.stats.triple_row_activations += 1;
                 }
                 match deduped.as_slice() {
-                    [wl] if self.faults.is_empty() => self.stamp_refresh(wl.row),
+                    [wl] => self.stamp_refresh(wl.row),
                     raised => self.restore(raised, &sense),
                 }
                 self.state = State::Activated {
@@ -608,21 +679,25 @@ impl Subarray {
             }
             State::Activated { .. } => {
                 // Take the state apart so restore can borrow the sense row
-                // instead of cloning it for every back-to-back ACTIVATE.
+                // while it mutates storage.
                 let State::Activated { sense, mut raised } =
                     std::mem::replace(&mut self.state, State::Precharged)
                 else {
                     unreachable!("matched Activated above");
                 };
-                for &wl in deduped.as_slice() {
-                    if raised
+                // Check every new wordline before raising any, so a
+                // rejected ACTIVATE leaves the open wordlines as they were.
+                if let Some(wl) = deduped.as_slice().iter().find(|wl| {
+                    raised
                         .as_slice()
                         .iter()
                         .any(|r| r.row == wl.row && r.side != wl.side)
-                    {
-                        self.state = State::Activated { sense, raised };
-                        return Err(DramError::ConflictingWordlines { row: wl.row });
-                    }
+                }) {
+                    let row = wl.row;
+                    self.state = State::Activated { sense, raised };
+                    return Err(DramError::ConflictingWordlines { row });
+                }
+                for &wl in deduped.as_slice() {
                     if !raised.as_slice().contains(&wl) {
                         raised.push(wl);
                     }
@@ -649,7 +724,7 @@ impl Subarray {
         match std::mem::replace(&mut self.state, State::Precharged) {
             State::Precharged => Err(DramError::BankNotActivated),
             State::Activated { sense, .. } => {
-                self.parked_sense = Some(sense);
+                self.park(sense);
                 self.stats.precharges += 1;
                 Ok(())
             }
@@ -690,7 +765,9 @@ impl Subarray {
 
     /// Writes bytes into the open row buffer (a column WRITE). The sense
     /// amplifiers drive all raised cells, so the write propagates to every
-    /// open row immediately (negated through n-wordlines).
+    /// open row immediately (negated through n-wordlines). A sense row
+    /// still shared with stored rows is copied into a buffer of its own
+    /// first, so the write never reaches a row that is not raised.
     ///
     /// # Errors
     ///
@@ -707,14 +784,17 @@ impl Subarray {
                 row_bytes,
             });
         }
-        // Take the state apart so restore can borrow sense and raised in
-        // place instead of cloning both per column write.
+        // Take the state apart so restore can borrow sense and raised while
+        // it mutates storage.
         let State::Activated { mut sense, raised } =
             std::mem::replace(&mut self.state, State::Precharged)
         else {
             unreachable!("checked Activated above");
         };
-        sense.write_bytes(byte_offset * 8, data);
+        if Arc::get_mut(&mut sense).is_none() {
+            self.stats.rows_materialized += 1;
+        }
+        Arc::make_mut(&mut sense).write_bytes(byte_offset * 8, data);
         self.stats.column_writes += 1;
         self.restore(raised.as_slice(), &sense);
         self.state = State::Activated { sense, raised };
@@ -722,8 +802,10 @@ impl Subarray {
     }
 
     /// Computes the per-bitline charge-sharing outcome for an activation
-    /// from the precharged state into `sense`, overwriting every bit of it.
+    /// from the precharged state.
     ///
+    /// A single data-side wordline senses the stored row itself (shared,
+    /// not copied); through bitline-bar it senses a new complemented row.
     /// The 3-row case — the only multi-row shape the Ambit protocol issues —
     /// takes the word-parallel kernel (64 bitlines per u64 operation) unless
     /// the scalar reference is forced. A tie is impossible at arity 3, so
@@ -739,32 +821,34 @@ impl Subarray {
     /// Armed TRAs count under [`SubarrayStats::scalar_charge_shares`]
     /// (telemetry `path="scalar"`), the path that consumes the fault RNG,
     /// so the counters read the same whichever kernel resolved them.
-    fn charge_share(&mut self, wordlines: &[Wordline], sense: &mut BitRow) -> Result<()> {
+    fn charge_share(&mut self, wordlines: &[Wordline]) -> Result<Arc<BitRow>> {
         if let [wl] = wordlines {
-            // Common case: single-row activation senses the row directly
-            // (negated through an n-wordline).
-            sense.copy_from(self.row_ref(self.resolve(wl.row)));
-            if wl.side == BitlineSide::BitlineBar {
-                sense.not_assign();
+            let stored = Arc::clone(self.row_arc(self.resolve(wl.row)));
+            if wl.side == BitlineSide::Bitline {
+                return Ok(stored);
             }
-            return Ok(());
+            let mut sense = self.fresh_row();
+            Arc::make_mut(&mut sense).zip_with_into(&stored, |_, w| !w);
+            return Ok(sense);
         }
         if wordlines.len() == 3 && !self.force_scalar {
-            self.charge_share_tra_word_parallel(wordlines, sense);
+            let mut sense = self.fresh_row();
+            self.charge_share_tra_word_parallel(wordlines, Arc::make_mut(&mut sense));
             if self.tra_fault_threshold == 0 {
                 self.stats.word_parallel_charge_shares += 1;
                 if let Some(c) = &self.word_parallel_counter {
                     c.inc();
                 }
-                return Ok(());
+                return Ok(sense);
             }
-            self.inject_tra_faults(sense);
+            self.inject_tra_faults(Arc::make_mut(&mut sense));
             self.count_scalar_charge_share();
-            return Ok(());
+            return Ok(sense);
         }
-        *sense = self.charge_share_scalar(wordlines)?;
+        let sense = self.charge_share_scalar(wordlines)?;
+        self.stats.rows_materialized += 1;
         self.count_scalar_charge_share();
-        Ok(())
+        Ok(Arc::new(sense))
     }
 
     fn count_scalar_charge_share(&mut self) {
@@ -796,7 +880,7 @@ impl Subarray {
     /// RNG: it is bit-exact with the scalar reference by construction.
     fn charge_share_tra_word_parallel(&self, wordlines: &[Wordline], sense: &mut BitRow) {
         let bar = |wl: &Wordline| wl.side == BitlineSide::BitlineBar;
-        let row = |wl: &Wordline| self.row_ref(self.resolve(wl.row));
+        let row = |wl: &Wordline| &**self.row_arc(self.resolve(wl.row));
         sense.majority_signed_into(
             row(&wordlines[0]),
             bar(&wordlines[0]),
@@ -813,9 +897,9 @@ impl Subarray {
     /// toward !v.
     fn charge_share_scalar(&mut self, wordlines: &[Wordline]) -> Result<BitRow> {
         let mut result = BitRow::zeros(self.bits);
-        let rows: Vec<(BitRow, BitlineSide)> = wordlines
+        let rows: Vec<(Arc<BitRow>, BitlineSide)> = wordlines
             .iter()
-            .map(|wl| (self.peek_row(wl.row), wl.side))
+            .map(|wl| (Arc::clone(self.row_arc(self.resolve(wl.row))), wl.side))
             .collect();
         for bit in 0..self.bits {
             let mut score: i32 = 0;
@@ -854,37 +938,21 @@ impl Subarray {
 
     /// Drives the sense value back into all raised cells (restore phase).
     ///
-    /// Each raised row is overwritten in place — copy then a single in-place
-    /// negation for bar-side wordlines — so the steady state allocates
-    /// nothing (a fresh row is cloned only the first time a slot is
-    /// written).
-    fn restore(&mut self, wordlines: &[Wordline], sense: &BitRow) {
+    /// A data-side row stores a reference to the sense row; a bar-side row
+    /// stores a new complemented row. Stuck-at faults are then pinned on
+    /// the rows that have them.
+    fn restore(&mut self, wordlines: &[Wordline], sense: &Arc<BitRow>) {
         for wl in wordlines {
             self.stamp_refresh(wl.row);
-            let row = self.resolve(wl.row);
-            match &mut self.storage[row] {
-                Some(value) => {
-                    value.copy_from(sense);
-                    if wl.side == BitlineSide::BitlineBar {
-                        value.not_assign();
-                    }
+            let value = match wl.side {
+                BitlineSide::Bitline => Arc::clone(sense),
+                BitlineSide::BitlineBar => {
+                    let mut value = self.fresh_row();
+                    Arc::make_mut(&mut value).zip_with_into(sense, |_, w| !w);
+                    value
                 }
-                slot @ None => {
-                    let mut value = sense.clone();
-                    if wl.side == BitlineSide::BitlineBar {
-                        value.not_assign();
-                    }
-                    *slot = Some(value);
-                }
-            }
-            if !self.faults.is_empty() {
-                let value = self.storage[row].as_mut().expect("slot filled above");
-                for (&(r, bit), &fault) in &self.faults {
-                    if r == row {
-                        value.set(bit, matches!(fault, CellFault::StuckAtOne));
-                    }
-                }
-            }
+            };
+            self.store(self.resolve(wl.row), value);
         }
     }
 
@@ -1278,6 +1346,46 @@ mod tests {
             sa.activate(&tra).unwrap_err(),
             DramError::RetentionViolation { .. }
         ));
+    }
+
+    #[test]
+    fn only_new_values_materialize_rows() {
+        let mut sa = Subarray::new(8, 64);
+        let (a, b) = (filled(64, 41), filled(64, 42));
+        sa.poke_row(0, a.clone());
+        sa.poke_row(1, b.clone());
+        let materialized = |sa: &Subarray| sa.stats().rows_materialized;
+        // AAP copies into T0..T2 share the sensed rows.
+        for (src, dst) in [(0, 4), (1, 5), (2, 6)] {
+            sa.activate(&[Wordline::data(src)]).unwrap();
+            sa.activate(&[Wordline::data(dst)]).unwrap();
+            sa.precharge().unwrap();
+        }
+        assert_eq!(materialized(&sa), 0);
+        // The TRA result is the one new row; its restore and the copy into
+        // the destination share it.
+        sa.activate(&[Wordline::data(4), Wordline::data(5), Wordline::data(6)])
+            .unwrap();
+        sa.activate(&[Wordline::data(7)]).unwrap();
+        sa.precharge().unwrap();
+        assert_eq!(materialized(&sa), 1);
+        assert_eq!(sa.peek_row(7), a.and(&b));
+        // A complement is a new value.
+        sa.activate(&[Wordline::data(7)]).unwrap();
+        sa.activate(&[Wordline::negated(3)]).unwrap();
+        sa.precharge().unwrap();
+        assert_eq!(materialized(&sa), 2);
+        assert_eq!(sa.peek_row(3), a.and(&b).not());
+        // A column write splits the open row from the rows sharing it.
+        sa.activate(&[Wordline::data(0)]).unwrap();
+        sa.activate(&[Wordline::data(2)]).unwrap();
+        sa.precharge().unwrap();
+        sa.activate(&[Wordline::data(0)]).unwrap();
+        sa.write_bytes(0, &[0xFF]).unwrap();
+        sa.precharge().unwrap();
+        assert_eq!(materialized(&sa), 3);
+        assert_eq!(sa.peek_row(0).to_bytes()[0], 0xFF);
+        assert_eq!(sa.peek_row(2), a, "the copy of row 0 keeps the old bits");
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //!   (`plan`), the issue loop (`issue`) and the threaded functional pass
 //!   (`fanout`) — printed as a per-phase split in the run summary,
 //! * the analytic Figure 9 envelope as gauges, for comparison on the same
-//!   scrape.
+//!   scrape,
+//! * per-device `SubarrayStats` in the run summary, including
+//!   `rows_materialized`: the row buffers the functional model wrote with a
+//!   new value (copies and restores share the sensed row instead).
 //!
 //! Everything downstream of the device model is denominated in *simulated*
 //! DRAM time, so those metrics are bit-for-bit reproducible. The
@@ -142,6 +145,13 @@ fn main() -> Result<(), AmbitError> {
         report.cpu_fallbacks,
         report.degraded
     );
+    for (name, mem) in [("resilient", exec.memory()), ("batch", &batch_mem)] {
+        let s = mem.controller().device().stats();
+        println!(
+            "#   {name} device: activations={} copy_activations={} tra={} rows_materialized={}",
+            s.activations, s.copy_activations, s.triple_row_activations, s.rows_materialized
+        );
+    }
     println!("# batch paths (ambit_batch_path_total):");
     for (path, reason) in [
         ("threaded", "requested"),
