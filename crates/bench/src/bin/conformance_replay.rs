@@ -7,13 +7,14 @@
 //! ```
 //!
 //! `fuzz` generates `N` seeded programs and runs each through the N-way
-//! execution oracle (eager, batch serial, batch bank-parallel, forced
-//! scalar, resilient, plus the CPU golden model). `--faults` arms a slice
-//! of the programs with a uniform TRA fault rate; `--profiles` arms a
-//! slice with a random device characterization map (variation-aware
-//! placement, spare-row pre-remap, per-subarray fault campaign);
-//! `--multi-channel` places a slice of the fault-free programs on the
-//! two-channel geometry so threaded batches that span channels are
+//! execution oracle (eager, batch serial, batch bank-parallel, batch on a
+//! one-thread budget, forced scalar, resilient, plus the CPU golden
+//! model). `--faults` arms a slice of the programs with a uniform TRA
+//! fault rate, and their batch paths must agree byte for byte;
+//! `--profiles` arms a slice with a random device characterization map
+//! (variation-aware placement, spare-row pre-remap, per-subarray fault
+//! campaign); `--multi-channel` places a slice of the fault-free programs
+//! on the two-channel geometry so batches whose fan-out spans channels are
 //! fuzzed against the serial paths; `--synth` lets fault-free programs
 //! carry random synthesized truth-table ops, compiled through the
 //! `ambit-core::synth` pipeline on every execution path. The first

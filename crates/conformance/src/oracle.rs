@@ -1,28 +1,31 @@
 //! The N-way differential execution oracle.
 //!
 //! Runs one [`Program`] through every execution path the stack offers —
-//! eager driver calls, the batch engine under all three issue policies
-//! (serial, bank-parallel, and the OS-threaded wall-clock path), the
-//! device with its analog model replaced by the scalar reference, and (for
-//! all-bitwise programs) the resilient executor — and checks every path's
-//! final memory image byte-for-byte against the pure-CPU golden model.
+//! eager driver calls, the batch engine under both clock policies (serial
+//! and bank-parallel, with a four-thread fan-out) and on a one-thread
+//! budget (bank-parallel, fan-out drained inline), the device with its
+//! analog model replaced by the scalar reference, and (for all-bitwise
+//! programs) the resilient executor — and checks every path's final
+//! memory image byte-for-byte against the pure-CPU golden model.
 //! Every path's command trace is additionally validated by the
 //! [`TraceChecker`], so a run that happens to produce the right bits
 //! through an illegal command sequence still fails.
 //!
-//! Fault-armed programs (nonzero TRA fault rate) run through the resilient
-//! executor only: the other paths have no recovery story, and each path
-//! issues a different command sequence, so the fault RNG draws land on
-//! different activations and cross-path byte identity is not a meaningful
-//! property under injected faults. For those, the oracle checks
-//! recovered-result correctness (golden equality unless the executor
-//! declared itself degraded) and internal consistency of the recovery
-//! report. The forced-scalar and word-parallel charge shares do share one
-//! draw stream — a fault-armed TRA draws once per bitline, in bitline
-//! order, on either kernel — so every fault-armed program also reruns the
-//! resilient path on a forced-scalar device ([`RESILIENT_SCALAR_PATH`]),
-//! which must match the default run's readback, full recovery report and
-//! command trace exactly.
+//! Fault-armed programs (nonzero TRA fault rate) are checked against golden
+//! through the resilient executor only: the other paths have no recovery
+//! story. For those, the oracle checks recovered-result correctness
+//! (golden equality unless the executor declared itself degraded) and
+//! internal consistency of the recovery report. The three batch paths
+//! issue one command sequence and run each bank's programs in one order,
+//! so they consume every subarray's fault draws identically: on a
+//! fault-armed device they must agree with each other byte for byte on
+//! readback, device stats and command trace (the serial path's trace
+//! differs only in issue times). The forced-scalar and word-parallel
+//! charge shares also share one draw stream — a fault-armed TRA draws once
+//! per bitline, in bitline order, on either kernel — so every fault-armed
+//! program also reruns the resilient path on a forced-scalar device
+//! ([`RESILIENT_SCALAR_PATH`]), which must match the default run's
+//! readback, full recovery report and command trace exactly.
 //!
 //! Profile-armed programs (a `profile_seed`) work the same way, but the
 //! fault model is a regenerated device characterization map
@@ -50,9 +53,17 @@ pub const FAULT_FREE_PATHS: [&str; 6] = [
     "eager",
     "batch_serial",
     "batch_bank_parallel",
-    "batch_threaded",
+    "batch_one_worker",
     "forced_scalar",
     "resilient",
+];
+
+/// The batch paths, each a clock policy on a fan-out thread budget: four
+/// threads (spawned even on a one-core host) or one (drained inline).
+const BATCH_PATHS: [(&str, IssuePolicy, usize); 3] = [
+    ("batch_serial", IssuePolicy::Serial, 4),
+    ("batch_bank_parallel", IssuePolicy::BankParallel, 4),
+    ("batch_one_worker", IssuePolicy::BankParallel, 1),
 ];
 
 /// The fault-armed path name.
@@ -106,8 +117,9 @@ impl OracleReport {
 /// Runs the full oracle on `program`, optionally seeding a divergence.
 ///
 /// Fault-free programs run through every applicable path; fault-armed and
-/// profile-armed programs run through the resilient executor only (see
-/// module docs).
+/// profile-armed programs are checked against golden through the resilient
+/// executor only, and fault-armed ones also run the batch paths against
+/// each other (see module docs).
 pub fn run_oracle(program: &Program, mutation: Option<&Mutation>) -> OracleReport {
     if program.fault_tra_rate.is_some() || program.profile_seed.is_some() {
         run_fault_armed(program, mutation)
@@ -176,10 +188,6 @@ fn build_memory(program: &Program, forced_scalar: bool) -> AmbitMemory {
             }
         }
     }
-    // Force a four-thread budget so the batch_threaded path runs its
-    // scoped-thread fan-out even on single-core CI hosts, where the
-    // default budget would degrade it to the plain BankParallel code path.
-    mem.set_pool_threads(4);
     mem.controller_mut().timer_mut().set_tracing(true);
     mem
 }
@@ -198,7 +206,8 @@ fn check_trace(report: &mut OracleReport, path: &str, program: &Program, mem: &A
 /// How a path issues the program's ops.
 enum Issue {
     Eager,
-    Batch(IssuePolicy),
+    /// One batch under a clock policy on a fan-out thread budget.
+    Batch(IssuePolicy, usize),
 }
 
 /// Scratch pools for synthesized ops, one per vector family
@@ -252,14 +261,25 @@ fn synth_bindings<'a>(
     (ins, pool, [handles[dst]])
 }
 
+/// Runs `program` on one driver path, armed with its TRA fault rate if it
+/// has one. Returns the readback and the memory it ran on.
 fn run_driver_path(
     program: &Program,
     path: &str,
     issue: &Issue,
     forced_scalar: bool,
     report: &mut OracleReport,
-) -> Option<Vec<Vec<bool>>> {
+) -> Option<(Vec<Vec<bool>>, AmbitMemory)> {
     let mut mem = build_memory(program, forced_scalar);
+    if let Issue::Batch(_, threads) = issue {
+        mem.set_pool_threads(*threads);
+    }
+    if let Some(rate) = program.fault_tra_rate {
+        if let Err(e) = mem.set_tra_fault_rate(rate) {
+            report.fail(path, format!("fault arming failed: {e}"));
+            return None;
+        }
+    }
     let mut handles: Vec<BitVectorHandle> = Vec::with_capacity(program.vectors.len());
     for spec in &program.vectors {
         match mem.alloc_in_group(spec.bits, AllocGroup(spec.group)) {
@@ -326,7 +346,7 @@ fn run_driver_path(
                     }
                 }
             }
-            Issue::Batch(policy) => {
+            Issue::Batch(policy, _) => {
                 // Built alongside the batch: the handles every emitted
                 // step must report reading and writing. Synth ops expand
                 // to one entry per compiled step.
@@ -422,7 +442,7 @@ fn run_driver_path(
         }
     }
     check_trace(report, path, program, &mem);
-    Some(readback)
+    Some((readback, mem))
 }
 
 /// Spare rows reserved per subarray on profile-armed runs, and the cap on
@@ -620,20 +640,15 @@ fn run_differential(program: &Program, mutation: Option<&Mutation>) -> OracleRep
     let mut report = OracleReport::default();
     let golden = golden::run(program);
 
-    let driver_paths: [(&str, Issue, bool); 5] = [
-        ("eager", Issue::Eager, false),
-        ("batch_serial", Issue::Batch(IssuePolicy::Serial), false),
-        ("batch_bank_parallel", Issue::Batch(IssuePolicy::BankParallel), false),
-        (
-            "batch_threaded",
-            Issue::Batch(IssuePolicy::BankParallelThreaded),
-            false,
-        ),
-        ("forced_scalar", Issue::Eager, true),
-    ];
-    for (path, issue, forced_scalar) in &driver_paths {
-        if let Some(mut readback) =
-            run_driver_path(program, path, issue, *forced_scalar, &mut report)
+    let batch_paths = BATCH_PATHS
+        .map(|(path, policy, threads)| (path, Issue::Batch(policy, threads), false));
+    let driver_paths = [("eager", Issue::Eager, false)]
+        .into_iter()
+        .chain(batch_paths)
+        .chain([("forced_scalar", Issue::Eager, true)]);
+    for (path, issue, forced_scalar) in driver_paths {
+        if let Some((mut readback, _)) =
+            run_driver_path(program, path, &issue, forced_scalar, &mut report)
         {
             apply_mutation(&mut readback, path, mutation);
             compare(&mut report, path, &golden, &readback);
@@ -650,6 +665,9 @@ fn run_differential(program: &Program, mutation: Option<&Mutation>) -> OracleRep
 
 fn run_fault_armed(program: &Program, mutation: Option<&Mutation>) -> OracleReport {
     let mut report = OracleReport::default();
+    if program.fault_tra_rate.is_some() {
+        check_fault_armed_batches(program, mutation, &mut report);
+    }
     let golden = golden::run(program);
     let Some(mut run) = run_resilient_path(program, RESILIENT_PATH, false, &mut report) else {
         return report;
@@ -685,6 +703,38 @@ fn run_fault_armed(program: &Program, mutation: Option<&Mutation>) -> OracleRepo
         compare(&mut report, RESILIENT_PATH, &golden, &run.readback);
     }
     report
+}
+
+/// Runs the batch paths on the fault-armed device. Each must match
+/// `batch_bank_parallel` on readback, device stats and command order, and
+/// on command timing too when it runs the same policy.
+fn check_fault_armed_batches(
+    program: &Program,
+    mutation: Option<&Mutation>,
+    report: &mut OracleReport,
+) {
+    let mut runs = Vec::with_capacity(BATCH_PATHS.len());
+    for (path, policy, threads) in BATCH_PATHS {
+        let issue = Issue::Batch(policy, threads);
+        let Some((mut readback, mem)) = run_driver_path(program, path, &issue, false, report)
+        else {
+            return;
+        };
+        apply_mutation(&mut readback, path, mutation);
+        let trace = mem.controller().timer().trace().unwrap_or(&[]).to_vec();
+        runs.push((path, policy, readback, mem.controller().device().stats(), trace));
+    }
+    let order = |t: &[TraceEntry]| t.iter().map(|e| (e.bank, e.command)).collect::<Vec<_>>();
+    let (_, _, want_readback, want_stats, want_trace) = &runs[1]; // batch_bank_parallel
+    for (path, policy, readback, stats, trace) in &runs {
+        if (readback, stats, order(trace)) != (want_readback, want_stats, order(want_trace)) {
+            let detail = "readback, device stats or command order differ from batch_bank_parallel";
+            report.fail(path, detail.into());
+        }
+        if *policy == IssuePolicy::BankParallel && trace != want_trace {
+            report.fail(path, "command trace differs from batch_bank_parallel".into());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -775,6 +825,18 @@ mod tests {
         let report = run_oracle(&program, Some(&mutation));
         assert!(!report.ok());
         assert!(report.failures.iter().all(|f| f.path == RESILIENT_SCALAR_PATH));
+    }
+
+    #[test]
+    fn fault_armed_batch_paths_pin_detects_a_divergence() {
+        let cfg = GeneratorConfig { fault_chance: 1.0, ..GeneratorConfig::default() };
+        let program = generate(2, &cfg);
+        for path in ["batch_serial", "batch_one_worker"] {
+            let mutation = Mutation { path: path.into(), vector: 0, bit: 0 };
+            let report = run_oracle(&program, Some(&mutation));
+            assert!(!report.ok(), "{path}");
+            assert!(report.failures.iter().all(|f| f.path == path), "{:?}", report.failures);
+        }
     }
 
     #[test]

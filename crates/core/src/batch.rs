@@ -37,7 +37,10 @@ impl OpId {
     }
 }
 
-/// How `execute_batch` issues the planned chunk programs.
+/// How `execute_batch` clocks the planned chunk programs. The policy sets
+/// only simulated time: the memory image and device stats do not depend on
+/// it, and host threads come from
+/// [`set_pool_threads`](crate::AmbitMemory::set_pool_threads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IssuePolicy {
     /// Issue ops strictly one after another: each op's programs start only
@@ -49,28 +52,8 @@ pub enum IssuePolicy {
     /// separates consecutive waves.
     #[default]
     BankParallel,
-    /// [`BankParallel`](Self::BankParallel) semantics — identical receipts,
-    /// traces, telemetry, and final memory image — but the functional work
-    /// additionally executes on real OS threads, so wall-clock time scales
-    /// with cores.
-    ///
-    /// Execution is two-phase: a serial *timing pass* on the calling thread
-    /// issues the exact command sequence `BankParallel` issues (timestamps
-    /// depend on issue order within each channel's command bus), then a
-    /// *functional pass* queues each bank's programs and drains the queues,
-    /// one job per bank, on the caller plus up to `workers − 1` threads of
-    /// one `std::thread::scope`. Within one bank the queue preserves serial
-    /// order, and banks share no functional state, so results are
-    /// byte-identical by construction.
-    ///
-    /// Runs as plain `BankParallel` (still correct, just wall-clock
-    /// serial) on a one-thread budget
-    /// ([`set_pool_threads(1)`](crate::AmbitMemory::set_pool_threads), a
-    /// one-core host, or `AMBIT_POOL_THREADS=1`), and when any subarray has
-    /// a transient TRA fault rate armed: fault-armed charge shares consume
-    /// the subarray's pinned per-bit RNG stream, which the fallback keeps
-    /// bit-exact by running the one code path the stream was pinned
-    /// against. `ambit_batch_path_total{path, reason}` counts each choice.
+    /// A synonym of [`BankParallel`](Self::BankParallel), kept only for
+    /// source compatibility; spell `BankParallel`.
     BankParallelThreaded,
 }
 

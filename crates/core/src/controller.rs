@@ -287,12 +287,14 @@ impl AmbitController {
     /// program's AAP/AP sequence on the command timer without touching the
     /// functional device.
     ///
-    /// The threaded batch path times every chunk with this on the
-    /// submitting thread, in the order `BankParallel` issues them, and
-    /// leaves the functional half to
+    /// The batch engine times every chunk with this on the submitting
+    /// thread and leaves the functional half to
     /// [`run_bank_queues`](Self::run_bank_queues). The timer calls are the
     /// ones `run_program` makes, so receipts, traces, and timer telemetry
     /// are identical by construction.
+    ///
+    /// The receipt's energy is the timing pipeline's channel-lane delta
+    /// ([`CommandTimer::bank_energy_nj`]).
     ///
     /// # Errors
     ///
@@ -304,16 +306,53 @@ impl AmbitController {
         program: &[AmbitCmd],
     ) -> Result<OpReceipt> {
         let flat = self.timer_index(bank.flat_index(self.device.geometry()), subarray);
-        time_program_on(&mut self.timer, &self.layout, flat, program)
+        let (timer, layout) = (&mut self.timer, &self.layout);
+        let energy_before = timer.bank_energy_nj(flat);
+        let mut start_ps = None;
+        let mut end_ps = 0;
+        let mut aaps = 0;
+        let mut aps = 0;
+
+        for cmd in program {
+            match *cmd {
+                AmbitCmd::Aap(a1, a2) => {
+                    let wl1 = layout.decode(a1)?;
+                    let wl2 = layout.decode(a2)?;
+                    let (s, e) = timer.aap_tagged(
+                        flat,
+                        (wl1.len(), wl1.first().map(|w| w.row)),
+                        (wl2.len(), wl2.first().map(|w| w.row)),
+                    )?;
+                    start_ps.get_or_insert(s);
+                    end_ps = e;
+                    aaps += 1;
+                }
+                AmbitCmd::Ap(a) => {
+                    let wl = layout.decode(a)?;
+                    let (s, e) = timer.ap_tagged(flat, (wl.len(), wl.first().map(|w| w.row)))?;
+                    start_ps.get_or_insert(s);
+                    end_ps = e;
+                    aps += 1;
+                }
+            }
+        }
+
+        Ok(OpReceipt {
+            start_ps: start_ps.unwrap_or(timer.bank_now_ps(flat)),
+            end_ps: end_ps.max(start_ps.unwrap_or(0)),
+            energy_nj: timer.bank_energy_nj(flat) - energy_before,
+            aaps,
+            aps,
+        })
     }
 
     /// Device-only execution of per-bank program queues, one [`Fanout`]
-    /// job per bank with work — the functional half of the threaded batch
-    /// path. `queues[flat_bank]` holds `(subarray, program)` pairs in the
-    /// order the serial path would have run them; within one bank that
-    /// order is preserved exactly, and banks share no functional state, so
-    /// the final device image (including per-subarray stats and RNG
-    /// streams) is byte-identical to serial execution.
+    /// job per bank with work — the functional pass of every batch.
+    /// `queues[flat_bank]` holds `(subarray, program)` pairs in issue
+    /// order; within one bank that order is preserved exactly, and banks
+    /// share no functional state, so the final device image (including
+    /// per-subarray stats and RNG streams) is byte-identical to running
+    /// every program in issue order on one thread.
     ///
     /// Control rows are lazily-initialized shared state, so they are
     /// prepared serially here before any job is submitted.
@@ -470,57 +509,9 @@ impl AmbitController {
     }
 }
 
-/// Times one command program on `timer` pipeline `flat`. The receipt's
-/// energy is the pipeline's channel-lane delta
-/// ([`CommandTimer::bank_energy_nj`]).
-fn time_program_on(
-    timer: &mut CommandTimer,
-    layout: &SubarrayLayout,
-    flat: usize,
-    program: &[AmbitCmd],
-) -> Result<OpReceipt> {
-    let energy_before = timer.bank_energy_nj(flat);
-    let mut start_ps = None;
-    let mut end_ps = 0;
-    let mut aaps = 0;
-    let mut aps = 0;
-
-    for cmd in program {
-        match *cmd {
-            AmbitCmd::Aap(a1, a2) => {
-                let wl1 = layout.decode(a1)?;
-                let wl2 = layout.decode(a2)?;
-                let (s, e) = timer.aap_tagged(
-                    flat,
-                    (wl1.len(), wl1.first().map(|w| w.row)),
-                    (wl2.len(), wl2.first().map(|w| w.row)),
-                )?;
-                start_ps.get_or_insert(s);
-                end_ps = e;
-                aaps += 1;
-            }
-            AmbitCmd::Ap(a) => {
-                let wl = layout.decode(a)?;
-                let (s, e) = timer.ap_tagged(flat, (wl.len(), wl.first().map(|w| w.row)))?;
-                start_ps.get_or_insert(s);
-                end_ps = e;
-                aps += 1;
-            }
-        }
-    }
-
-    Ok(OpReceipt {
-        start_ps: start_ps.unwrap_or(timer.bank_now_ps(flat)),
-        end_ps: end_ps.max(start_ps.unwrap_or(0)),
-        energy_nj: timer.bank_energy_nj(flat) - energy_before,
-        aaps,
-        aps,
-    })
-}
-
 /// Executes one command program against a single bank's functional state —
 /// the device half of [`AmbitController::run_program`]. A free function over
-/// `&mut Bank` so the threaded batch path can hand disjoint banks to
+/// `&mut Bank` so the batch fan-out can hand disjoint banks to
 /// distinct OS threads while the borrow checker proves the ownership split
 /// is race-free. Banks share no state with the timer, and each subarray
 /// owns its RNG stream, so running this after the timing half (or on
@@ -561,7 +552,7 @@ fn run_program_on_bank(
 
 // The controller owns only plain data plus the already-thread-safe
 // telemetry handles, so it is `Send + Sync` by construction — the property
-// the threaded batch path and multi-tenant serving (ROADMAP item 1) rely
+// the batch fan-out and multi-tenant serving (ROADMAP item 1) rely
 // on. Keep this assertion next to the struct so a regression fails to
 // compile rather than failing at a distant use site.
 const _: () = {

@@ -174,10 +174,10 @@ pub struct AmbitMemory {
     /// readers of a shared `&AmbitMemory` never race.
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
-    /// Thread budget and counters for the functional pass of
-    /// `BankParallelThreaded` batches, sized from `available_parallelism`
-    /// (override: `AMBIT_POOL_THREADS` or `set_pool_threads`). Threads are
-    /// scoped to one batch; none stays alive between batches.
+    /// Thread budget and counters for the functional pass of every batch,
+    /// sized from `available_parallelism` (override: `AMBIT_POOL_THREADS`
+    /// or `set_pool_threads`). Threads are scoped to one batch; none stays
+    /// alive between batches.
     pool: Fanout,
 }
 
@@ -200,7 +200,13 @@ struct DriverTelemetry {
     /// Host time of each batch phase, microseconds, indexed by
     /// [`BatchPhase`].
     batch_phase_us: [Histogram; BatchPhase::LABELS.len()],
+    /// Batches per issue path, indexed by [`BATCH_PATHS`].
+    batch_paths: [Counter; BATCH_PATHS.len()],
 }
+
+/// The `path` label of `ambit_batch_path_total`: the clock policy a batch
+/// ran under ([`IssuePolicy::Serial`] first, then bank-parallel).
+const BATCH_PATHS: [&str; 2] = ["serial", "bank_parallel"];
 
 /// The host-side phases of one `execute_batch` call, timed into
 /// `ambit_batch_phase_host_us{phase}` while telemetry is attached.
@@ -210,10 +216,9 @@ enum BatchPhase {
     Waves,
     /// Plan-cache lookups, plus validation and compilation on misses.
     Plan,
-    /// The issue loop: timing for every policy, and the functional work
-    /// too unless the batch fans out.
+    /// The timing pass: every chunk program issued on the command timer.
     Issue,
-    /// The threaded functional pass over per-bank queues.
+    /// The functional pass: the per-bank queues run through the fan-out.
     Fanout,
 }
 
@@ -281,11 +286,18 @@ impl DriverTelemetry {
             registry.histogram(
                 "ambit_batch_phase_host_us",
                 "Host wall time of each execute_batch phase, microseconds \
-                 (fanout is 0 for batches that do not run threaded)",
+                 (issue is the timing pass, fanout the functional pass)",
                 &[("phase", phase)],
                 &[
                     1.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0, 30000.0, 100000.0,
                 ],
+            )
+        });
+        let batch_paths = BATCH_PATHS.map(|path| {
+            registry.counter(
+                "ambit_batch_path_total",
+                "Batches by the issue path (clock policy) they ran on",
+                &[("path", path)],
             )
         });
         DriverTelemetry {
@@ -297,6 +309,7 @@ impl DriverTelemetry {
             plan_cache_misses,
             preremaps,
             batch_phase_us,
+            batch_paths,
         }
     }
 
@@ -477,18 +490,18 @@ impl AmbitMemory {
         self.ctrl.timer().energy().total_nj()
     }
 
-    /// Activity counters of the scoped-thread fan-out behind
-    /// [`IssuePolicy::BankParallelThreaded`] batches: jobs run threaded or
-    /// inline, threads spawned, and caught panics.
+    /// Activity counters of the scoped-thread fan-out that runs every
+    /// batch's functional pass: jobs run threaded or inline, threads
+    /// spawned, and caught panics.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
 
-    /// Sets the thread budget of [`IssuePolicy::BankParallelThreaded`]
-    /// batches to `threads` (at least 1, caller included) and resets the
-    /// [`pool_stats`](Self::pool_stats) counters. With `threads == 1` the
-    /// driver runs `BankParallelThreaded` as plain `BankParallel` — the
-    /// same degradation a one-core host gets automatically.
+    /// Sets the thread budget of the batch fan-out to `threads` (at least
+    /// 1, caller included) and resets the
+    /// [`pool_stats`](Self::pool_stats) counters. With `threads == 1` every
+    /// job runs inline on the calling thread, as on a one-core host;
+    /// results do not depend on the budget.
     pub fn set_pool_threads(&mut self, threads: usize) {
         self.pool = Fanout::new(threads);
         if let Some(tel) = &self.telemetry {
@@ -979,22 +992,23 @@ impl AmbitMemory {
     /// The batch is first split into dependency waves
     /// ([`BatchBuilder::waves`]-style hazard analysis), and every op is
     /// validated and compiled *before* any command issues — a malformed
-    /// batch fails without touching the device. Under
-    /// [`IssuePolicy::BankParallel`] the chunk programs of a wave issue
-    /// back-to-back, so ops placed in different banks overlap in simulated
-    /// time on their per-bank pipelines; [`IssuePolicy::Serial`] advances
-    /// the clock past each op before issuing the next (the baseline the
-    /// bank-parallel speedup is measured against);
-    /// [`IssuePolicy::BankParallelThreaded`] keeps `BankParallel`'s
-    /// simulated-time semantics but spreads the per-bank functional work
-    /// across scoped OS threads, so wall-clock time also scales with cores
-    /// (it falls back to `BankParallel` while transient TRA faults are
-    /// armed, keeping the pinned per-bit RNG streams, and on a one-thread
-    /// budget). Every batch increments
-    /// `ambit_batch_path_total{path, reason}` with the path it took and
-    /// why. Results are bit-identical
-    /// across policies: ops within a wave touch disjoint destinations, so
-    /// functional order is immaterial.
+    /// batch fails without touching the device. Then, whatever the policy:
+    ///
+    /// 1. A *timing pass* on the calling thread issues every chunk program
+    ///    on the command timer in wave, op, chunk order. The policy only
+    ///    sets the clock: [`IssuePolicy::BankParallel`] issues a wave's
+    ///    programs back-to-back, so ops in different banks overlap in
+    ///    simulated time, and closes each wave with a barrier;
+    ///    [`IssuePolicy::Serial`] advances the clock past each op.
+    /// 2. A *functional pass* runs each bank's programs, in that order, as
+    ///    one job of the scoped-thread fan-out
+    ///    ([`set_pool_threads`](Self::set_pool_threads)). Banks share no
+    ///    functional state and each subarray owns its fault RNG stream, so
+    ///    memory image, device stats and fault draws are the same for every
+    ///    policy and thread budget.
+    ///
+    /// Every batch increments `ambit_batch_path_total{path}` with its
+    /// policy (`serial` or `bank_parallel`).
     ///
     /// # Errors
     ///
@@ -1003,6 +1017,14 @@ impl AmbitMemory {
     /// * Any validation error the eager entry points raise
     ///   ([`AmbitError::SizeMismatch`], [`AmbitError::NotColocated`],
     ///   [`AmbitError::WrongOperandCount`], unknown handles).
+    /// * Timing and scheduler errors from the timing pass, which then runs
+    ///   no functional command.
+    /// * Device errors ([`AmbitError::Dram`]) and
+    ///   [`AmbitError::ExecutorPanicked`] from the functional pass. These
+    ///   surface only after the whole timing pass has issued, for every
+    ///   policy: the timer has then advanced past the batch, and each bank
+    ///   has run its queue up to its first failing command. The first
+    ///   failing bank in flat-bank order is reported.
     pub fn execute_batch(
         &mut self,
         batch: &BatchBuilder,
@@ -1053,37 +1075,16 @@ impl AmbitMemory {
             .map(|b| self.ctrl.timer().bank_busy_ps(b))
             .collect();
 
-        // The threaded policy splits execution in two: a timing pass that
-        // issues exactly the command sequence the plain bank-parallel path
-        // issues, then a functional pass over per-bank queues spread across
-        // threads. It runs as plain `BankParallel` on a fault-armed device
-        // (charge shares then consume each subarray's pinned per-bit RNG
-        // stream through the one code path it was pinned against, see
-        // `IssuePolicy::BankParallelThreaded`) and on a one-thread budget
-        // (one-core host, or `AMBIT_POOL_THREADS=1`), where there is nothing
-        // to win.
-        let (path, reason) = match policy {
-            IssuePolicy::Serial => ("serial", "requested"),
-            IssuePolicy::BankParallel => ("bank_parallel", "requested"),
-            IssuePolicy::BankParallelThreaded if self.ctrl.device().tra_fault_armed() => {
-                ("bank_parallel", "fault_armed")
-            }
-            IssuePolicy::BankParallelThreaded if self.pool.target_workers() < 2 => {
-                ("bank_parallel", "single_worker")
-            }
-            IssuePolicy::BankParallelThreaded => ("threaded", "requested"),
-        };
-        let threaded = path == "threaded";
+        let serial = policy == IssuePolicy::Serial;
         if let Some(tel) = &self.telemetry {
-            tel.registry
-                .counter(
-                    "ambit_batch_path_total",
-                    "Batches by the issue path they ran on and the reason it was chosen",
-                    &[("path", path), ("reason", reason)],
-                )
-                .inc();
+            tel.batch_paths[usize::from(!serial)].inc();
         }
 
+        // Timing pass: issue every chunk program on the command timer in
+        // wave, op, chunk order, and queue it on its bank for the
+        // functional pass in that same order.
+        let geometry = *self.ctrl.geometry();
+        let mut queues: Vec<Vec<(usize, &[AmbitCmd])>> = vec![Vec::new(); geometry.total_banks()];
         let mut per_op: Vec<Option<OpReceipt>> = vec![None; batch.len()];
         for wave in &waves {
             let mut wave_end = 0u64;
@@ -1096,11 +1097,10 @@ impl AmbitMemory {
                     // Traffic (or prior external use) may have left a row
                     // open; AAP programs must start precharged.
                     self.ctrl.close_open_row(chunk.bank, chunk.subarray)?;
-                    let receipt = if threaded {
-                        self.ctrl.time_program(chunk.bank, chunk.subarray, &chunk.program)?
-                    } else {
-                        self.ctrl.run_program(chunk.bank, chunk.subarray, &chunk.program)?
-                    };
+                    let receipt =
+                        self.ctrl.time_program(chunk.bank, chunk.subarray, &chunk.program)?;
+                    queues[chunk.bank.flat_index(&geometry)]
+                        .push((chunk.subarray, chunk.program.as_slice()));
                     match &mut op_total {
                         Some(t) => t.absorb(&receipt),
                         None => op_total = Some(receipt),
@@ -1108,7 +1108,7 @@ impl AmbitMemory {
                 }
                 // A fully-elided plan (self-copy) issues nothing.
                 let receipt = op_total.unwrap_or_else(|| self.noop_receipt());
-                if policy == IssuePolicy::Serial {
+                if serial {
                     self.ctrl.timer_mut().advance_to(receipt.end_ps);
                 }
                 wave_end = wave_end.max(receipt.end_ps);
@@ -1116,7 +1116,7 @@ impl AmbitMemory {
             }
             // Wave barrier: dependent ops start only after every producer's
             // final precharge has completed.
-            if policy != IssuePolicy::Serial {
+            if !serial {
                 self.ctrl.timer_mut().advance_to(wave_end);
             }
         }
@@ -1125,27 +1125,11 @@ impl AmbitMemory {
         }
         clock.lap(BatchPhase::Issue);
 
-        if threaded {
-            // Functional pass: queue every chunk program on its bank in the
-            // order the serial path would have run it (wave, then op index,
-            // then chunk index), and fan the queues out one job per bank.
-            // Co-location guarantees every program only touches its own
-            // (bank, subarray), so per-bank FIFO order is the only ordering
-            // the device can observe.
-            let geometry = *self.ctrl.geometry();
-            let mut queues: Vec<Vec<(usize, &[AmbitCmd])>> =
-                vec![Vec::new(); geometry.total_banks()];
-            for wave in &waves {
-                for &i in wave {
-                    for chunk in plans[i].iter() {
-                        queues[chunk.bank.flat_index(&geometry)]
-                            .push((chunk.subarray, chunk.program.as_slice()));
-                    }
-                }
-            }
-            self.ctrl.run_bank_queues(&queues, &mut self.pool)?;
-            clock.lap(BatchPhase::Fanout);
-        }
+        // Functional pass: one fan-out job per bank. Co-location keeps every
+        // program inside its own (bank, subarray), so per-bank FIFO order is
+        // the only order the device can observe, fault draws included.
+        self.ctrl.run_bank_queues(&queues, &mut self.pool)?;
+        clock.lap(BatchPhase::Fanout);
 
         let per_op: Vec<OpReceipt> = per_op
             .into_iter()
@@ -1934,10 +1918,11 @@ mod tests {
             assert_eq!(h.count, 2, "one per batch since attach ({phase})");
             assert!(h.sum >= 0.0);
         }
+        // Both policies run their functional pass through the fan-out.
         let fanout = reg
             .histogram_snapshot("ambit_batch_phase_host_us", &[("phase", "fanout")])
             .unwrap();
-        assert_eq!(fanout.sum, 0.0, "neither batch ran threaded");
+        assert!(fanout.sum > 0.0, "the functional pass is timed for every batch");
     }
 
     #[test]
@@ -2012,6 +1997,7 @@ mod tests {
         let mut threaded = memory();
         let mut serial = memory();
         threaded.set_pool_threads(4);
+        serial.set_pool_threads(1);
         let bits = 2 * threaded.row_bits();
         let mut rng = ChaCha8Rng::seed_from_u64(0x9a41c);
         let handles: Vec<BitVectorHandle> = (0..4)
@@ -2038,9 +2024,7 @@ mod tests {
         batch.bitwise(BitwiseOp::Xor, handles[0], Some(handles[1]), handles[2]);
         batch.bitwise(BitwiseOp::And, handles[2], Some(handles[0]), handles[3]);
         batch.bitwise(BitwiseOp::Not, handles[3], None, handles[1]);
-        threaded
-            .execute_batch(&batch, IssuePolicy::BankParallelThreaded)
-            .unwrap();
+        threaded.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
         serial.execute_batch(&batch, IssuePolicy::Serial).unwrap();
         for &h in &handles {
             assert_eq!(threaded.peek_bits(h).unwrap(), serial.peek_bits(h).unwrap());

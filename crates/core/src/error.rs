@@ -104,8 +104,8 @@ pub enum AmbitError {
         /// What was wrong with the profile.
         reason: &'static str,
     },
-    /// A job of a threaded batch's functional pass
-    /// ([`IssuePolicy::BankParallelThreaded`](crate::IssuePolicy::BankParallelThreaded))
+    /// A job of a batch's functional pass (one bank's program queue, see
+    /// [`AmbitMemory::execute_batch`](crate::AmbitMemory::execute_batch))
     /// panicked. The panic was caught on the thread that ran the job, the
     /// other jobs still ran, and the payload is carried here instead of
     /// aborting the process; the memory stays usable.
@@ -180,7 +180,7 @@ impl fmt::Display for AmbitError {
                 write!(f, "placement profile rejected: {reason}")
             }
             AmbitError::ExecutorPanicked { message } => {
-                write!(f, "threaded batch job panicked: {message}")
+                write!(f, "batch fan-out job panicked: {message}")
             }
             AmbitError::Synthesis { detail } => {
                 write!(f, "boolean synthesis failed: {detail}")

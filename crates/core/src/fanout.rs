@@ -1,14 +1,15 @@
-//! Scoped-thread fan-out for the threaded batch path.
+//! Scoped-thread fan-out for the batch engine's functional pass.
 //!
-//! `IssuePolicy::BankParallelThreaded` hands its per-bank functional work
-//! to [`Fanout::run`]: the calling thread and up to `target_workers − 1`
+//! Every `execute_batch` hands its per-bank functional work to
+//! [`Fanout::run`]: the calling thread and up to `target_workers − 1`
 //! threads spawned with [`std::thread::Builder::spawn_scoped`] drain one
-//! shared job list. Jobs may borrow from the caller's stack because
-//! `std::thread::scope` joins every thread before `run` returns; nothing
-//! outlives a call, so the struct holds only the thread budget and
-//! activity counters. A failed spawn leaves the remaining jobs to the
-//! threads already running (at worst the caller runs them all inline), and
-//! a panicking job is caught and surfaced as
+//! shared job list. A one-thread budget or a single job spawns nothing and
+//! runs the jobs inline on the caller. Jobs may borrow from the caller's
+//! stack because `std::thread::scope` joins every thread before `run`
+//! returns; nothing outlives a call, so the struct holds only the thread
+//! budget and activity counters. A failed spawn leaves the remaining jobs
+//! to the threads already running (at worst the caller runs them all
+//! inline), and a panicking job is caught and surfaced as
 //! [`AmbitError::ExecutorPanicked`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,9 +24,8 @@ use crate::error::{AmbitError, Result};
 /// One unit of fan-out work; it may borrow from the submitting frame.
 pub(crate) type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
 
-/// Activity counters of the threaded batch path's fan-out since the memory
-/// was created (or since the last
-/// [`set_pool_threads`](crate::AmbitMemory::set_pool_threads)).
+/// Activity counters of the batch fan-out since the memory was created (or
+/// since the last [`set_pool_threads`](crate::AmbitMemory::set_pool_threads)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Thread budget: the most threads, the caller included, one fan-out
@@ -54,7 +54,7 @@ struct FanoutTelemetry {
     queue_wait_us: Histogram,
 }
 
-/// Thread budget and counters for the threaded batch path.
+/// Thread budget and counters for the batch functional pass.
 #[derive(Debug)]
 pub(crate) struct Fanout {
     stats: PoolStats,
@@ -84,12 +84,6 @@ impl Fanout {
         Fanout::new(target)
     }
 
-    /// The thread budget. The driver runs `BankParallelThreaded` as plain
-    /// `BankParallel` when this is 1.
-    pub(crate) fn target_workers(&self) -> usize {
-        self.stats.target_workers
-    }
-
     /// Activity counters so far.
     pub(crate) fn stats(&self) -> PoolStats {
         self.stats
@@ -108,22 +102,22 @@ impl Fanout {
         self.telemetry = Some(FanoutTelemetry {
             jobs: counter(
                 "ambit_pool_jobs_total",
-                "Jobs run by threaded-batch fan-outs that spawned at least one thread",
+                "Batch fan-out jobs run by fan-outs that spawned at least one thread",
                 s.jobs_executed,
             ),
             inline_jobs: counter(
                 "ambit_pool_inline_jobs_total",
-                "Threaded-batch jobs run serially on the submitting thread",
+                "Batch fan-out jobs run serially on the submitting thread",
                 s.inline_jobs,
             ),
             cold_spawns: counter(
                 "ambit_pool_cold_spawns_total",
-                "Scoped threads spawned by threaded-batch fan-outs",
+                "Scoped threads spawned by batch fan-outs",
                 s.cold_spawns,
             ),
             worker_panics: counter(
                 "ambit_pool_worker_panics_total",
-                "Threaded-batch jobs that panicked (caught and surfaced as typed errors)",
+                "Batch fan-out jobs that panicked (caught and surfaced as typed errors)",
                 s.worker_panics,
             ),
             queue_wait_us: registry.histogram(

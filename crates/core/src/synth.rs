@@ -31,8 +31,8 @@
 //!   (`MAJ(x, y, const)` becomes the native And/Or program, which *is* the
 //!   majority with a control row) and emission as ordinary
 //!   [`BatchBuilder`] operations, so synthesized programs flow through the
-//!   plan cache, the batch engine's hazard analysis, and the threaded
-//!   executor unchanged.
+//!   plan cache, the batch engine's hazard analysis, and the per-bank
+//!   fan-out unchanged.
 //!
 //! Output semantics match the driver's: every step stages its sources
 //! before writing, and the compiled program writes its destination handles

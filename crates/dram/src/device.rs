@@ -93,18 +93,6 @@ impl DramDevice {
         &mut self.banks
     }
 
-    /// Whether any subarray has a nonzero transient TRA fault rate armed.
-    ///
-    /// Fault-armed charge shares draw from the subarray's pinned per-bit
-    /// RNG stream; callers that replay command streams out of the default
-    /// order (e.g. the threaded batch path) consult this to fall back to
-    /// serial issue and keep the draw streams byte-identical.
-    pub fn tra_fault_armed(&self) -> bool {
-        self.banks.iter().any(|bank| {
-            (0..bank.subarray_count()).any(|s| bank.subarray(s).tra_fault_rate() > 0.0)
-        })
-    }
-
     /// Issues an ACTIVATE to the subarray holding `location.bank`,
     /// raising `wordlines` in `location.subarray`.
     ///
@@ -247,7 +235,7 @@ impl DramDevice {
 // The data plane is plain owned data (telemetry counters are atomics
 // behind `Arc`), so the whole device hierarchy is `Send + Sync` by
 // construction. Assert it at compile time: a field regressing to `Rc`,
-// `Cell`, or a raw pointer would break the threaded batch path.
+// `Cell`, or a raw pointer would break the batch fan-out.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<crate::subarray::Subarray>();

@@ -17,14 +17,13 @@
 //!   path that consumes the fault RNG (fault-armed TRAs, like this
 //!   campaign's, count as `scalar` although the word kernel resolves
 //!   them),
-//! * `ambit_batch_path_total{path, reason}`: which issue path each batch
-//!   ran on and why — the threaded path as requested, or plain
-//!   bank-parallel issue because the device is fault-armed or the thread
-//!   budget is one — next to the `ambit_pool_*` counters of the threaded
-//!   path's scoped-thread fan-out (jobs, threads spawned, queue wait),
+//! * `ambit_batch_path_total{path}`: the clock policy each batch ran under
+//!   (`serial` or `bank_parallel`), next to the `ambit_pool_*` counters of
+//!   the scoped-thread fan-out that runs every batch's functional pass
+//!   (jobs run threaded or inline, threads spawned, queue wait),
 //! * `ambit_batch_phase_host_us{phase}`: where each batch spent host time —
 //!   dependency planning (`waves`), plan-cache lookups and compilation
-//!   (`plan`), the issue loop (`issue`) and the threaded functional pass
+//!   (`plan`), the timing pass (`issue`) and the functional pass
 //!   (`fanout`) — printed as a per-phase split in the run summary,
 //! * the analytic Figure 9 envelope as gauges, for comparison on the same
 //!   scrape,
@@ -100,12 +99,13 @@ fn main() -> Result<(), AmbitError> {
     exec.bitwise(BitwiseOp::Or, a, Some(b), out)?;
     exec.bitwise(BitwiseOp::Xor, a, Some(b), out)?;
 
-    // Phase 4: batch path selection. The same batch runs four times, and
-    // each run lands on a different `ambit_batch_path_total{path, reason}`
-    // series: threaded as requested (a four-thread budget, so the phase
-    // behaves the same on a one-core host), bank-parallel as requested,
-    // bank-parallel because the thread budget is one, and bank-parallel
-    // because transient TRA faults are armed.
+    // Phase 4: batch paths. The same batch runs four times, each as a
+    // timing pass on this thread and a functional pass through the per-bank
+    // fan-out, and `ambit_batch_path_total{path}` counts the clock policy:
+    // bank-parallel on a four-thread budget (so the fan-out spawns threads
+    // even on a one-core host), serial, bank-parallel on a one-thread
+    // budget (the fan-out drains inline), and bank-parallel with transient
+    // TRA faults armed.
     let mut batch_mem =
         AmbitMemory::new(geometry, TimingParams::ddr3_1600(), AapMode::Overlapped);
     batch_mem.set_pool_threads(4);
@@ -123,13 +123,14 @@ fn main() -> Result<(), AmbitError> {
         batch.bitwise(BitwiseOp::And, x, Some(y), z);
         batch.bitwise(BitwiseOp::Xor, x, Some(y), z);
     }
-    batch_mem.execute_batch(&batch, IssuePolicy::BankParallelThreaded)?;
     batch_mem.execute_batch(&batch, IssuePolicy::BankParallel)?;
+    batch_mem.execute_batch(&batch, IssuePolicy::Serial)?;
     batch_mem.set_pool_threads(1);
-    batch_mem.execute_batch(&batch, IssuePolicy::BankParallelThreaded)?;
+    batch_mem.execute_batch(&batch, IssuePolicy::BankParallel)?;
+    let inline = batch_mem.pool_stats();
     batch_mem.set_pool_threads(4);
     batch_mem.set_tra_fault_rate(0.0005)?;
-    batch_mem.execute_batch(&batch, IssuePolicy::BankParallelThreaded)?;
+    batch_mem.execute_batch(&batch, IssuePolicy::BankParallel)?;
 
     // Overlay the analytic Figure 9 envelope on the same registry.
     AmbitConfig::ddr3_module().export_telemetry(&registry)?;
@@ -153,18 +154,20 @@ fn main() -> Result<(), AmbitError> {
         );
     }
     println!("# batch paths (ambit_batch_path_total):");
-    for (path, reason) in [
-        ("threaded", "requested"),
-        ("bank_parallel", "requested"),
-        ("bank_parallel", "single_worker"),
-        ("bank_parallel", "fault_armed"),
-    ] {
+    for path in ["serial", "bank_parallel"] {
         let n = registry
-            .counter_value("ambit_batch_path_total", &[("path", path), ("reason", reason)])
+            .counter_value("ambit_batch_path_total", &[("path", path)])
             .unwrap_or(0);
-        println!("#   path={path} reason={reason}: {n}");
+        println!("#   path={path}: {n}");
     }
-    println!("# batch host time by phase (ambit_batch_phase_host_us, wall clock):");
+    println!(
+        "#   one-thread budget: {} jobs inline, {} threads spawned",
+        inline.inline_jobs, inline.cold_spawns
+    );
+    println!(
+        "# batch host time by phase (ambit_batch_phase_host_us, wall clock; \
+         issue = timing pass, fanout = functional pass):"
+    );
     for phase in ["waves", "plan", "issue", "fanout"] {
         if let Some(h) =
             registry.histogram_snapshot("ambit_batch_phase_host_us", &[("phase", phase)])

@@ -5,10 +5,11 @@
 //! must interleave with AAP streams on one timer (Section 5.5.2).
 
 use ambit_repro::core::{
-    AllocGroup, AmbitMemory, BatchBuilder, BitVectorHandle, BitwiseOp, IssuePolicy,
+    AllocGroup, AmbitError, AmbitMemory, BatchBuilder, BitVectorHandle, BitwiseOp, IssuePolicy,
 };
 use ambit_repro::dram::{
-    AapMode, DramGeometry, FrFcfsScheduler, MemoryRequest, TimingParams,
+    AapMode, BankId, DramError, DramGeometry, FrFcfsScheduler, MemoryRequest, TimingParams,
+    Wordline,
 };
 use ambit_repro::telemetry::Registry;
 use proptest::prelude::*;
@@ -398,4 +399,68 @@ fn batch_emits_span_and_occupancy_gauges() {
         reg.gauge_value("ambit_batch_bank_busy_ns", &[("bank", "5")]),
         Some(0.0)
     );
+}
+
+/// Strict retention inside a batch, and the functional pass's error path,
+/// under both clock policies.
+///
+/// Every row a TRA raises is refreshed by its own program's copies just
+/// before the TRA (the paper's copy-first discipline), so a batch over
+/// operands left stale past the retention window still completes. A device
+/// error can only come from state the timing pass does not model: here a
+/// row the caller opened directly on the device, in the other subarray of
+/// bank 0. The timing pass issues the whole batch, the functional pass then
+/// returns the typed error, and once the caller precharges the bank the
+/// memory runs the batch again with correct results.
+#[test]
+fn functional_errors_surface_typed_after_the_timing_pass() {
+    for policy in [IssuePolicy::Serial, IssuePolicy::BankParallel] {
+        let mut mem = tiny();
+        let bits = 2 * mem.row_bits();
+        let a = mem.alloc(bits).unwrap();
+        let b = mem.alloc(bits).unwrap();
+        let d = mem.alloc(bits).unwrap();
+        let pa: Vec<bool> = (0..bits).map(|i| i % 3 == 0).collect();
+        let pb: Vec<bool> = (0..bits).map(|i| i % 2 == 0).collect();
+        mem.poke_bits(a, &pa).unwrap();
+        mem.poke_bits(b, &pb).unwrap();
+        let mut batch = BatchBuilder::new();
+        batch.bitwise(BitwiseOp::And, a, Some(b), d);
+        batch.bitwise(BitwiseOp::Xor, a, Some(b), a);
+        let want_d: Vec<bool> = pa.iter().zip(&pb).map(|(x, y)| x & y).collect();
+        let want_a: Vec<bool> = pa.iter().zip(&pb).map(|(x, y)| x ^ y).collect();
+
+        // Strict retention, every row stale: the batch still completes.
+        let device = mem.controller_mut().device_mut();
+        device.set_retention_window(Some(64_000_000));
+        device.advance_time_ns(65_000_000);
+        let receipt = mem.execute_batch(&batch, policy).unwrap();
+        assert_eq!(mem.peek_bits(d).unwrap(), want_d, "{policy:?}");
+        assert_eq!(mem.peek_bits(a).unwrap(), want_a, "{policy:?}");
+
+        // A row left open in subarray 1 of bank 0; the batch's chunk 0
+        // lives in subarray 0 of that bank.
+        mem.controller_mut()
+            .device_mut()
+            .activate(BankId::zero(), 1, &[Wordline::data(0)])
+            .unwrap();
+        let aaps_before = mem.controller().timer().stats().aaps;
+        let err = mem.execute_batch(&batch, policy).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AmbitError::Dram(DramError::SubarrayConflict { open: 1, requested: 0 })
+            ),
+            "{policy:?}: {err}"
+        );
+        let issued = mem.controller().timer().stats().aaps - aaps_before;
+        assert_eq!(issued, receipt.total.aaps as u64, "the timing pass issued the whole batch");
+
+        // Bank 1 ran its half of the failed batch; restore `a` and rerun.
+        mem.controller_mut().device_mut().precharge(BankId::zero()).unwrap();
+        mem.poke_bits(a, &pa).unwrap();
+        mem.execute_batch(&batch, policy).unwrap();
+        assert_eq!(mem.peek_bits(d).unwrap(), want_d, "{policy:?} after recovery");
+        assert_eq!(mem.peek_bits(a).unwrap(), want_a, "{policy:?} after recovery");
+    }
 }

@@ -105,15 +105,10 @@ fn all_256_three_input_tables_conform_on_device() {
     let (inputs, out, pool) = device_rows(&mut mem, 3, pool_rows);
     for (table, plan) in plans.iter().enumerate() {
         let table = table as u64;
-        // Every 16th table additionally runs the serial and threaded batch
-        // paths and the eager driver; the rest use the bank-parallel
-        // batch engine.
+        // Every 16th table additionally runs the serial batch policy and
+        // the eager driver; the rest use the bank-parallel batch engine.
         let policies: &[IssuePolicy] = if table.is_multiple_of(16) {
-            &[
-                IssuePolicy::Serial,
-                IssuePolicy::BankParallel,
-                IssuePolicy::BankParallelThreaded,
-            ]
+            &[IssuePolicy::Serial, IssuePolicy::BankParallel]
         } else {
             &[IssuePolicy::BankParallel]
         };

@@ -1,12 +1,12 @@
-//! Integration tests for the OS-threaded batch execution path
-//! (`IssuePolicy::BankParallelThreaded`) and the `Send + Sync` data plane
-//! behind it: the threaded path must be observably identical to
-//! single-threaded bank-parallel issue (receipts, command traces, memory
-//! image, device stats), concurrent submitters over disjoint handle sets
-//! must leave the memory in the same state as a serial run, shared
-//! references must be readable from many threads at once, and fault-armed
-//! devices must fall back to serial issue so the pinned per-bit RNG draw
-//! stream is preserved.
+//! Integration tests for the batch engine's per-bank fan-out and the
+//! `Send + Sync` data plane behind it. A batch whose functional pass spawns
+//! threads must be observably identical to one whose fan-out drains inline
+//! on a one-thread budget (receipts, command traces, memory image, device
+//! stats); concurrent submitters over disjoint handle sets must leave the
+//! memory in the same state as a serial run; shared references must be
+//! readable from many threads at once; and fault-armed batches must replay
+//! the per-bit RNG draw streams recorded from the single-threaded issue
+//! loop the fan-out replaced, under every policy and thread budget.
 
 use std::sync::Mutex;
 
@@ -59,11 +59,10 @@ fn mirrored_pools_on(
 ) -> (AmbitMemory, AmbitMemory, Vec<BitVectorHandle>) {
     let mut a = make();
     let mut b = make();
-    // `a` is the threaded-policy memory in every test: force a multi-thread
-    // budget so the threaded path executes (and is exercised) even on a
-    // one-core host, where the default budget would degrade it to
-    // BankParallel.
+    // `a` spawns threads for its functional pass (a four-thread budget, so
+    // it does so even on a one-core host); `b` drains its fan-out inline.
     a.set_pool_threads(4);
+    b.set_pool_threads(1);
     let bits = chunks * a.row_bits();
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
     let handles: Vec<BitVectorHandle> = (0..pool)
@@ -114,11 +113,10 @@ fn random_batch(rng: &mut ChaCha8Rng, h: &[BitVectorHandle], len: usize) -> Batc
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The tentpole property: the threaded path is indistinguishable from
-    /// single-threaded bank-parallel issue in everything but wall clock —
-    /// same receipt (timing, energy, busy attribution), same command
-    /// trace on the shared bus, same final memory image, same device
-    /// activation stats.
+    /// A fan-out that spawns threads is indistinguishable from one that
+    /// drains inline in everything but wall clock — same receipt (timing,
+    /// energy, busy attribution), same command trace on the shared bus,
+    /// same final memory image, same device activation stats.
     #[test]
     fn threaded_batch_is_byte_identical_to_bank_parallel(seed in any::<u64>(), len in 1usize..10) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -127,7 +125,7 @@ proptest! {
         reference.controller_mut().timer_mut().set_tracing(true);
         let batch = random_batch(&mut rng, &h, len);
 
-        let rt = threaded.execute_batch(&batch, IssuePolicy::BankParallelThreaded).unwrap();
+        let rt = threaded.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
         let rr = reference.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
 
         prop_assert_eq!(&rt, &rr, "receipts diverge");
@@ -167,7 +165,7 @@ proptest! {
         reference.controller_mut().timer_mut().set_tracing(true);
         let batch = random_batch(&mut rng, &h, len);
 
-        let rt = threaded.execute_batch(&batch, IssuePolicy::BankParallelThreaded).unwrap();
+        let rt = threaded.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
         let rr = reference.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
 
         prop_assert_eq!(&rt, &rr, "receipts diverge");
@@ -251,14 +249,13 @@ fn concurrent_submitters_over_disjoint_handles_match_serial() {
     let (batches, dsts) = mirrored_group_batches(&mut threaded, &mut serial, groups, per_group);
 
     // Concurrent submission: each thread owns one batch and races to
-    // lock-and-execute it on the threaded issue path.
+    // lock-and-execute it, fanning its functional pass out to threads.
     let shared = Mutex::new(threaded);
     std::thread::scope(|scope| {
         for batch in &batches {
             scope.spawn(|| {
                 let mut mem = shared.lock().unwrap();
-                mem.execute_batch(batch, IssuePolicy::BankParallelThreaded)
-                    .unwrap();
+                mem.execute_batch(batch, IssuePolicy::BankParallel).unwrap();
             });
         }
     });
@@ -313,17 +310,15 @@ fn shared_references_read_from_many_threads() {
 }
 
 /// 1000 consecutive small threaded batches through one memory stay
-/// byte-for-byte identical to bank-parallel execution on a mirrored
-/// module, and the fan-out counters show the threaded path actually ran.
+/// byte-for-byte identical to inline-drained batches on a mirrored
+/// module, and the fan-out counters show the threads actually ran.
 #[test]
 fn thousand_consecutive_batches_match_serial() {
     let (mut threaded, mut serial, h) = mirrored_pools(0xbeef, 4);
     for round in 0..1000u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(round);
         let batch = random_batch(&mut rng, &h, 2);
-        let rt = threaded
-            .execute_batch(&batch, IssuePolicy::BankParallelThreaded)
-            .unwrap();
+        let rt = threaded.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
         let rr = serial.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
         assert_eq!(rt, rr, "receipts diverged at round {round}");
     }
@@ -341,101 +336,177 @@ fn thousand_consecutive_batches_match_serial() {
     );
     let stats = threaded.pool_stats();
     assert!(
-        stats.jobs_executed + stats.inline_jobs > 0,
-        "threaded batches never reached the fan-out: {stats:?}"
+        stats.jobs_executed > 0 && stats.cold_spawns > 0,
+        "threaded batches never spawned: {stats:?}"
     );
 }
 
-/// Auto-degrade satellite: a one-thread budget (what a one-core host
-/// gets from `available_parallelism`) degrades `BankParallelThreaded` to
-/// plain `BankParallel` — identical results, and the fan-out is never
-/// touched, so there is no spawn overhead to pay.
+/// A one-thread budget (what a one-core host gets from
+/// `available_parallelism`) runs the same fan-out with every job inline on
+/// the caller: no thread is spawned, and receipts, traces and bytes match a
+/// four-thread budget exactly.
 #[test]
-fn single_worker_pool_degrades_threaded_to_bank_parallel() {
-    let (mut degraded, mut reference, h) = mirrored_pools(0x1c0de, 4);
-    degraded.set_pool_threads(1);
-    degraded.controller_mut().timer_mut().set_tracing(true);
-    reference.controller_mut().timer_mut().set_tracing(true);
+fn single_worker_budget_drains_the_fanout_inline() {
+    let (mut threaded, mut inline, h) = mirrored_pools(0x1c0de, 4);
+    threaded.controller_mut().timer_mut().set_tracing(true);
+    inline.controller_mut().timer_mut().set_tracing(true);
     let mut rng = ChaCha8Rng::seed_from_u64(0x1c0de);
     let batch = random_batch(&mut rng, &h, 6);
 
-    let rt = degraded
-        .execute_batch(&batch, IssuePolicy::BankParallelThreaded)
-        .unwrap();
-    let rr = reference
-        .execute_batch(&batch, IssuePolicy::BankParallel)
-        .unwrap();
-    assert_eq!(rt, rr, "degraded receipts diverge");
+    let rt = threaded.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
+    let ri = inline.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
+    assert_eq!(ri, rt, "inline receipts diverge");
     assert_eq!(
-        degraded.controller().timer().trace().unwrap(),
-        reference.controller().timer().trace().unwrap(),
-        "degraded command traces diverge"
+        inline.controller().timer().trace().unwrap(),
+        threaded.controller().timer().trace().unwrap(),
+        "inline command traces diverge"
     );
     for &handle in &h {
-        assert_eq!(
-            degraded.peek_bits(handle).unwrap(),
-            reference.peek_bits(handle).unwrap()
-        );
+        assert_eq!(inline.peek_bits(handle).unwrap(), threaded.peek_bits(handle).unwrap());
     }
-    let stats = degraded.pool_stats();
-    assert_eq!(stats.jobs_executed, 0, "degraded path must bypass the fan-out");
-    assert_eq!(stats.inline_jobs, 0, "degraded path must bypass the fan-out");
-    assert_eq!(stats.cold_spawns, 0, "no threads spawned on a one-core host");
+    let stats = inline.pool_stats();
+    assert_eq!(stats.target_workers, 1);
+    assert!(stats.inline_jobs > 0, "the batch ran through the fan-out: {stats:?}");
+    assert_eq!(stats.jobs_executed, 0, "no job ran on a spawned thread: {stats:?}");
+    assert_eq!(stats.cold_spawns, 0, "no threads spawned on a one-thread budget");
 }
 
-/// When the device is fault-armed the threaded policy must fall back to
-/// serial issue: the per-bit fault RNG draw stream is pinned to the serial
-/// command order, so both policies must produce identical (faulty) results
-/// draw for draw.
-#[test]
-fn fault_armed_threaded_policy_falls_back_to_serial_issue() {
-    let seed = 0x7a51;
-    let (mut threaded, mut reference, h) = mirrored_pools(seed, 4);
-    threaded.set_tra_fault_rate(0.26).unwrap();
-    reference.set_tra_fault_rate(0.26).unwrap();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let batch = random_batch(&mut rng, &h, 8);
+/// FNV-1a, for compact golden digests.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
 
-    let rt = threaded
-        .execute_batch(&batch, IssuePolicy::BankParallelThreaded)
-        .unwrap();
-    let rr = reference
-        .execute_batch(&batch, IssuePolicy::BankParallel)
-        .unwrap();
-    assert_eq!(rt, rr, "fallback receipts diverge");
-    for (i, &handle) in h.iter().enumerate() {
-        assert_eq!(
-            threaded.peek_bits(handle).unwrap(),
-            reference.peek_bits(handle).unwrap(),
-            "vector {i} diverged: the fault RNG draw streams must line up"
-        );
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Runs three seeded random batches on a memory armed with a 26 % TRA
+/// fault rate (Table 2's ±25 % variation) and digests the outcome:
+/// `(receipts, functional)`, where `functional` covers every vector's
+/// readback and the device's activation stats.
+fn fault_armed_digests(
+    make: fn() -> AmbitMemory,
+    chunks: usize,
+    seed: u64,
+    policy: IssuePolicy,
+    threads: usize,
+) -> (u64, u64) {
+    let mut mem = make();
+    mem.set_pool_threads(threads);
+    let bits = chunks * mem.row_bits();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+    let h: Vec<BitVectorHandle> = (0..4)
+        .map(|_| {
+            let handle = mem.alloc(bits).unwrap();
+            let data: Vec<bool> = (0..bits).map(|_| rng.gen()).collect();
+            mem.poke_bits(handle, &data).unwrap();
+            handle
+        })
+        .collect();
+    mem.set_tra_fault_rate(0.26).unwrap();
+    let mut receipts = FNV_OFFSET;
+    for round in 0..3u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(round));
+        let batch = random_batch(&mut rng, &h, 8);
+        let receipt = mem.execute_batch(&batch, policy).unwrap();
+        receipts = fnv1a(receipts, format!("{receipt:?}").as_bytes());
+    }
+    let mut functional = FNV_OFFSET;
+    for &handle in &h {
+        let bits: Vec<u8> = mem.peek_bits(handle).unwrap().iter().map(|&b| u8::from(b)).collect();
+        functional = fnv1a(functional, &bits);
+    }
+    let stats = format!("{:?}", mem.controller().device().stats());
+    (receipts, fnv1a(functional, stats.as_bytes()))
+}
+
+/// Fault-armed batches replay digests recorded from the single-threaded
+/// issue loop that ran every fault-armed batch before the fan-out did.
+/// Each subarray owns its fault RNG stream and each bank is one fan-out
+/// job, so per-bank FIFO order fixes every draw: `Serial`, `BankParallel`
+/// on one thread and `BankParallel` on four give the recorded readback and
+/// device stats, and each policy its recorded receipts.
+#[test]
+fn fault_armed_batches_replay_recorded_digests() {
+    struct Recorded {
+        make: fn() -> AmbitMemory,
+        chunks: usize,
+        seed: u64,
+        serial: u64,
+        parallel: u64,
+        functional: u64,
+    }
+    let recorded = [
+        Recorded {
+            make: tiny,
+            chunks: 2,
+            seed: 0x7a51,
+            serial: 0x33df_edd4_584b_38af,
+            parallel: 0xe7a7_6cb8_d8a5_27ca,
+            functional: 0xd01a_97f0_c9f4_6beb,
+        },
+        Recorded {
+            make: tiny,
+            chunks: 2,
+            seed: 0xfa17,
+            serial: 0xcede_8370_05f9_0b9b,
+            parallel: 0x98f9_0e48_26fb_7e7e,
+            functional: 0x6782_feea_50ea_5c67,
+        },
+        Recorded {
+            make: tiny_dual_channel,
+            chunks: 4,
+            seed: 0x7a51,
+            serial: 0x6019_0ea7_1501_89b5,
+            parallel: 0x6c4b_374a_9d24_f270,
+            functional: 0x64ab_5d5b_9771_9bd4,
+        },
+        Recorded {
+            make: tiny_dual_channel,
+            chunks: 4,
+            seed: 0xfa17,
+            serial: 0xe2ad_495f_4adb_161d,
+            parallel: 0xa777_338c_f022_2e5c,
+            functional: 0xb342_e744_77b1_27a5,
+        },
+    ];
+    for r in recorded {
+        let runs = [
+            (IssuePolicy::Serial, 4, r.serial),
+            (IssuePolicy::BankParallel, 1, r.parallel),
+            (IssuePolicy::BankParallel, 4, r.parallel),
+        ];
+        for (policy, threads, receipts) in runs {
+            let got = fault_armed_digests(r.make, r.chunks, r.seed, policy, threads);
+            assert_eq!(
+                got,
+                (receipts, r.functional),
+                "seed {:#x}, {policy:?} on {threads} thread(s): {got:#018x?}",
+                r.seed
+            );
+        }
     }
 }
 
-/// Every batch counts the path it ran on, and why, in
-/// `ambit_batch_path_total{path, reason}` — exactly once per batch.
+/// Every batch counts the path it ran on in `ambit_batch_path_total{path}`
+/// exactly once: the clock policy, whatever the thread budget or fault
+/// arming.
 #[test]
-fn batch_path_decisions_are_counted_with_reasons() {
+fn batch_paths_are_counted_once_per_batch() {
     let (mut mem, _, h) = mirrored_pools(0x9a7e, 4);
     let registry = Registry::new();
     mem.set_telemetry(registry.clone());
     let mut rng = ChaCha8Rng::seed_from_u64(0x9a7e);
     let batch = random_batch(&mut rng, &h, 3);
 
-    mem.execute_batch(&batch, IssuePolicy::BankParallelThreaded).unwrap();
     mem.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
+    mem.execute_batch(&batch, IssuePolicy::Serial).unwrap();
     mem.set_pool_threads(1);
-    mem.execute_batch(&batch, IssuePolicy::BankParallelThreaded).unwrap();
+    mem.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
     mem.set_pool_threads(4);
     mem.set_tra_fault_rate(0.01).unwrap();
-    mem.execute_batch(&batch, IssuePolicy::BankParallelThreaded).unwrap();
+    mem.execute_batch(&batch, IssuePolicy::BankParallel).unwrap();
 
-    let count = |path, reason| {
-        registry.counter_value("ambit_batch_path_total", &[("path", path), ("reason", reason)])
-    };
-    assert_eq!(count("threaded", "requested"), Some(1));
-    assert_eq!(count("bank_parallel", "requested"), Some(1));
-    assert_eq!(count("bank_parallel", "single_worker"), Some(1));
-    assert_eq!(count("bank_parallel", "fault_armed"), Some(1));
+    let count = |path| registry.counter_value("ambit_batch_path_total", &[("path", path)]);
+    assert_eq!(count("serial"), Some(1));
+    assert_eq!(count("bank_parallel"), Some(3));
     assert_eq!(registry.counter_family_total("ambit_batch_path_total"), Some(4));
 }
