@@ -35,9 +35,9 @@
 //! * `bench_snapshot hotpath` sweeps row widths {1 KB, 4 KB, 8 KB} and op
 //!   mixes {tra, mixed} over the word-parallel charge-share fast
 //!   path versus the forced bit-serial scalar reference
-//!   ([`ambit_dram::Subarray::set_scalar_reference`]), plus one
-//!   fault-armed point (word kernel plus per-bitline fault draws against
-//!   the scalar loop drawing the same stream) and a driver plan-cache
+//!   ([`ambit_dram::Subarray::set_scalar_reference`]), plus fault-armed
+//!   TRA at 1 KB and 8 KB rows (word kernel plus per-bitline fault draws
+//!   against the scalar loop drawing the same stream) and a driver plan-cache
 //!   hit-rate measurement. Writes `BENCH_hotpath.json` (override:
 //!   `AMBIT_BENCH_HOTPATH_SNAPSHOT`) and self-validates a ≥10× wall-clock
 //!   speedup on fault-free 8 KB-row TRA, ≥2× on fault-armed 8 KB-row TRA,
@@ -932,8 +932,10 @@ fn hotpath_main() -> ExitCode {
     }
     // Fault-armed: the word kernel plus one fault draw per bitline against
     // the bit-serial loop drawing the same stream; the final states must
-    // match bit for bit.
-    results.push(measure_hotpath(8192, "tra", reps_tra, 0.001));
+    // match bit for bit. 1 KB is the `resilient_query` benchmark's row.
+    for row_bytes in [1024usize, 8192] {
+        results.push(measure_hotpath(row_bytes, "tra", reps_tra, 0.001));
+    }
     let plan_cache = measure_plan_cache(reps_cache);
 
     println!("hotpath sweep, {reps_tra} reps/point (8-row subarrays):");

@@ -227,26 +227,29 @@ impl BatchPhase {
     const LABELS: [&'static str; 4] = ["waves", "plan", "issue", "fanout"];
 }
 
-/// Per-phase host stopwatch for one batch. Inert — it never reads the
-/// clock — unless telemetry is attached.
-struct PhaseClock {
+/// Host stopwatch splitting one call's wall time over `N` phases, in
+/// microseconds. Inert — it never reads the clock — unless switched on,
+/// which callers do only while telemetry is attached.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PhaseClock<const N: usize> {
     last: Option<Instant>,
-    us: [f64; BatchPhase::LABELS.len()],
+    /// Accumulated time per phase, microseconds.
+    pub(crate) us: [f64; N],
 }
 
-impl PhaseClock {
-    fn new(on: bool) -> Self {
+impl<const N: usize> PhaseClock<N> {
+    pub(crate) fn new(on: bool) -> Self {
         PhaseClock {
             last: on.then(Instant::now),
-            us: [0.0; BatchPhase::LABELS.len()],
+            us: [0.0; N],
         }
     }
 
-    /// Charges the time since the previous lap to `phase`.
-    fn lap(&mut self, phase: BatchPhase) {
+    /// Charges the time since the previous lap to phase index `phase`.
+    pub(crate) fn lap(&mut self, phase: usize) {
         if let Some(last) = &mut self.last {
             let now = Instant::now();
-            self.us[phase as usize] += now.duration_since(*last).as_secs_f64() * 1e6;
+            self.us[phase] += now.duration_since(*last).as_secs_f64() * 1e6;
             *last = now;
         }
     }
@@ -374,7 +377,7 @@ impl DriverTelemetry {
         &mut self,
         receipt: &BatchReceipt,
         mnemonics: &[&'static str],
-        phases: &PhaseClock,
+        phases: &PhaseClock<{ BatchPhase::LABELS.len() }>,
     ) {
         for (histogram, &us) in self.batch_phase_us.iter().zip(&phases.us) {
             histogram.observe(us);
@@ -1061,7 +1064,7 @@ impl AmbitMemory {
     ) -> Result<BatchReceipt> {
         let mut clock = PhaseClock::new(self.telemetry.is_some());
         let waves = batch.waves()?;
-        clock.lap(BatchPhase::Waves);
+        clock.lap(BatchPhase::Waves as usize);
         // Upfront validation and compilation: no command issues unless the
         // whole batch is well-formed.
         let plans: Vec<Arc<[ChunkProgram]>> = batch
@@ -1069,7 +1072,7 @@ impl AmbitMemory {
             .iter()
             .map(|entry| self.plan_op(entry))
             .collect::<Result<_>>()?;
-        clock.lap(BatchPhase::Plan);
+        clock.lap(BatchPhase::Plan as usize);
 
         let busy_before: Vec<u64> = (0..self.ctrl.timer().tracked_banks())
             .map(|b| self.ctrl.timer().bank_busy_ps(b))
@@ -1123,13 +1126,13 @@ impl AmbitMemory {
         if let Some(tr) = traffic {
             tr.service_arrived(self.ctrl.timer_mut())?;
         }
-        clock.lap(BatchPhase::Issue);
+        clock.lap(BatchPhase::Issue as usize);
 
         // Functional pass: one fan-out job per bank. Co-location keeps every
         // program inside its own (bank, subarray), so per-bank FIFO order is
         // the only order the device can observe, fault draws included.
         self.ctrl.run_bank_queues(&queues, &mut self.pool)?;
-        clock.lap(BatchPhase::Fanout);
+        clock.lap(BatchPhase::Fanout as usize);
 
         let per_op: Vec<OpReceipt> = per_op
             .into_iter()

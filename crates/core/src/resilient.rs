@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 use ambit_dram::{BitRow, DramError, FaultCampaign, RefreshParams, RefreshScheduler, PS_PER_NS};
 use ambit_telemetry::{Counter, Event, Gauge, Histogram, Registry, Span};
 
-use crate::driver::{AmbitMemory, BitVectorHandle};
+use crate::driver::{AmbitMemory, BitVectorHandle, PhaseClock};
 use crate::ecc::{bitwise_tmr, unpack, TmrVector};
 use crate::error::{AmbitError, Result};
 use crate::ops::BitwiseOp;
@@ -212,6 +212,31 @@ pub struct ResilientExecutor {
     degraded: bool,
     report: RecoveryReport,
     telemetry: Option<ResilientTelemetry>,
+    /// Host-time split of the current [`ResilientExecutor::bitwise`] call:
+    /// restarted at its entry, running only while telemetry is attached,
+    /// and stopped when the call returns its report.
+    clock: PhaseClock<{ ResilientPhase::LABELS.len() }>,
+}
+
+/// The host-side phases of one [`ResilientExecutor::bitwise`] call, timed
+/// into `ambit_resilient_phase_host_us{phase}` while telemetry is
+/// attached.
+#[derive(Debug, Clone, Copy)]
+enum ResilientPhase {
+    /// The in-DRAM TMR op on the three replicas, first attempt and
+    /// retries, plus the refreshes the campaign clock issues before it.
+    Replicas,
+    /// Voted reads of operands and destination, the destination's scrub,
+    /// and the periodic scrub of every vector.
+    Vote,
+    /// Recovery: source scrubs before a retry, repair from CPU-computed
+    /// truth, spare-row remaps and the CPU fallback.
+    Recovery,
+}
+
+impl ResilientPhase {
+    /// The `phase` label of each variant, indexed by discriminant.
+    const LABELS: [&'static str; 3] = ["replicas", "vote", "recovery"];
 }
 
 /// Cached telemetry handles mirroring [`RecoveryReport`] as counters, plus
@@ -238,6 +263,9 @@ struct ResilientTelemetry {
     /// Added latency of retry attempts per operation, simulated
     /// nanoseconds.
     recovery_latency_ns: Histogram,
+    /// Host time of each bitwise phase, microseconds, indexed by
+    /// [`ResilientPhase`].
+    phase_us: [Histogram; ResilientPhase::LABELS.len()],
 }
 
 impl ResilientTelemetry {
@@ -301,6 +329,16 @@ impl ResilientTelemetry {
                 &[],
                 &[100.0, 200.0, 400.0, 800.0, 1600.0, 3200.0, 6400.0, 12800.0, 25600.0],
             ),
+            phase_us: ResilientPhase::LABELS.map(|phase| {
+                registry.histogram(
+                    "ambit_resilient_phase_host_us",
+                    "Host wall time of each resilient bitwise phase, microseconds \
+                     (replicas: in-DRAM TMR ops; vote: voting and scrubbing; \
+                     recovery: retry, repair, remap and CPU fallback)",
+                    &[("phase", phase)],
+                    &[1.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0, 30000.0],
+                )
+            }),
             registry,
         }
     }
@@ -328,15 +366,20 @@ impl ResilientTelemetry {
             .set(if report.degraded { 1.0 } else { 0.0 });
     }
 
-    /// Records the span and latency histograms for one completed
-    /// operation, given its report delta and wall interval.
+    /// Records the span, latency and host-phase histograms for one
+    /// completed operation, given its report delta, wall interval and
+    /// host-time split.
     fn record_op(
         &self,
         mnemonic: &'static str,
         delta: &RecoveryReport,
         start_ns: u64,
         end_ns: u64,
+        phases: &PhaseClock<{ ResilientPhase::LABELS.len() }>,
     ) {
+        for (histogram, &us) in self.phase_us.iter().zip(&phases.us) {
+            histogram.observe(us);
+        }
         if delta.faults_detected > 0 {
             self.detection_latency_ns
                 .observe(end_ns.saturating_sub(start_ns) as f64);
@@ -372,6 +415,7 @@ impl ResilientExecutor {
             degraded: false,
             report: RecoveryReport::default(),
             telemetry: None,
+            clock: PhaseClock::new(false),
         }
     }
 
@@ -526,7 +570,9 @@ impl ResilientExecutor {
         dst: ResilientHandle,
     ) -> Result<RecoveryReport> {
         let before = self.report;
+        self.clock = PhaseClock::new(self.telemetry.is_some());
         self.tick();
+        self.lap(ResilientPhase::Replicas);
         let start_ns = self.now_ns();
 
         let ea = *self.entry(a)?;
@@ -551,6 +597,7 @@ impl ResilientExecutor {
             Some(e) if e.tmr.replicas() == ed.tmr.replicas() => Some(e.tmr.vote(&self.mem)?.voted),
             _ => None,
         };
+        self.lap(ResilientPhase::Vote);
 
         // De-rate the retry budget by the operation's characterization bin
         // (the worst bin among its vectors): strong subarrays fail fast to
@@ -602,6 +649,7 @@ impl ResilientExecutor {
             )?;
             ed.tmr.write_rows(&mut self.mem, truth)?;
             self.report.cpu_fallbacks += 1;
+            self.lap(ResilientPhase::Recovery);
         }
 
         // Classify any residual destination disagreement: what survives a
@@ -613,11 +661,14 @@ impl ResilientExecutor {
         {
             self.ops_since_scrub = 0;
             self.scrub_all()?;
+            self.lap(ResilientPhase::Vote);
         }
         let delta = before.delta(&self.report);
+        let clock = std::mem::replace(&mut self.clock, PhaseClock::new(false));
         if let Some(tel) = &self.telemetry {
             tel.sync(&self.report);
-            tel.record_op(op.mnemonic(), &delta, start_ns, self.mem.now_ps() / PS_PER_NS);
+            let end_ns = self.mem.now_ps() / PS_PER_NS;
+            tel.record_op(op.mnemonic(), &delta, start_ns, end_ns, &clock);
         }
         Ok(delta)
     }
@@ -646,6 +697,12 @@ impl ResilientExecutor {
         self.vectors
             .get_mut(&handle.0)
             .ok_or(AmbitError::UnknownHandle { id: handle.0 })
+    }
+
+    /// Charges the host time since the previous lap of the current
+    /// bitwise call to `phase`.
+    fn lap(&mut self, phase: ResilientPhase) {
+        self.clock.lap(phase as usize);
     }
 
     /// Advances the fault-campaign clock (refresh + retention decay).
@@ -687,7 +744,9 @@ impl ResilientExecutor {
         let mut aaps_spent = 0u64;
         loop {
             let first_attempt = retries == 0;
-            let receipt = match bitwise_tmr(&mut self.mem, op, a, b, dst) {
+            let attempt = bitwise_tmr(&mut self.mem, op, a, b, dst);
+            self.lap(ResilientPhase::Replicas);
+            let receipt = match attempt {
                 Ok(r) => r,
                 // Structural impossibility: the paper's driver executes
                 // these on the CPU (Section 5.4.3).
@@ -710,6 +769,7 @@ impl ResilientExecutor {
                             .attr("attempt", retries as u64),
                     );
                     self.scrub_sources(a, b, a_snap, b_snap)?;
+                    self.lap(ResilientPhase::Recovery);
                     continue;
                 }
                 Err(e) => return Err(e),
@@ -724,6 +784,7 @@ impl ResilientExecutor {
             aaps_spent += last_attempt_aaps;
 
             let vote = dst.vote(&self.mem)?;
+            self.lap(ResilientPhase::Vote);
             let suspects = vote.suspects;
             if suspects == 0 {
                 return Ok(AttemptOutcome::Done);
@@ -750,6 +811,7 @@ impl ResilientExecutor {
                 // Backoff in commands: scrub the sources so the retry
                 // starts from consistent replicas.
                 self.scrub_sources(a, b, a_snap, b_snap)?;
+                self.lap(ResilientPhase::Recovery);
                 continue;
             }
 
@@ -780,6 +842,7 @@ impl ResilientExecutor {
             dst.write_rows(&mut self.mem, repaired)?;
             self.report.scrubs += 1;
             self.report.corrected_bits += suspects as u64;
+            self.lap(ResilientPhase::Recovery);
             return Ok(AttemptOutcome::Done);
         }
     }
@@ -858,18 +921,22 @@ impl ResilientExecutor {
     /// the vector is marked degraded instead of erroring.
     fn heal(&mut self, handle: ResilientHandle) -> Result<()> {
         let tmr = self.entry(handle)?.tmr;
-        if tmr.vote(&self.mem)?.suspects == 0 {
+        let clean = tmr.vote(&self.mem)?.suspects == 0;
+        self.lap(ResilientPhase::Vote);
+        if clean {
             return Ok(());
         }
         let repaired = tmr.scrub(&mut self.mem)?;
         self.report.scrubs += 1;
         self.report.corrected_bits += repaired as u64;
         let persistent = tmr.vote(&self.mem)?.suspect_bits();
+        self.lap(ResilientPhase::Vote);
         for bit in persistent {
             if !self.remap_faulty_bit(tmr, bit)? {
                 self.entry(handle)?.degraded = true;
             }
         }
+        self.lap(ResilientPhase::Recovery);
         Ok(())
     }
 
@@ -1187,6 +1254,40 @@ mod tests {
         assert!(events.iter().any(|e| e.name == "resilient.retry"));
         assert!(events.iter().any(|e| e.name == "resilient.degrade"));
         assert_eq!(reg.spans().iter().filter(|s| s.name == "resilient.op").count(), 2);
+    }
+
+    #[test]
+    fn bitwise_phases_are_timed_only_with_telemetry() {
+        let mut mem = memory();
+        mem.set_tra_fault_rate(0.01).unwrap();
+        let mut exec = ResilientExecutor::new(mem, ResilientConfig::default());
+        let bits = exec.memory().row_bits();
+        let (a, b, out) = (
+            exec.alloc(bits).unwrap(),
+            exec.alloc(bits).unwrap(),
+            exec.alloc(bits).unwrap(),
+        );
+        exec.write(a, &pattern(bits, 2)).unwrap();
+        exec.write(b, &pattern(bits, 3)).unwrap();
+        exec.bitwise(BitwiseOp::And, a, Some(b), out).unwrap();
+        let reg = Registry::default();
+        exec.set_telemetry(reg.clone());
+        let retries_before = exec.report().retries;
+        exec.bitwise(BitwiseOp::And, a, Some(b), out).unwrap();
+        exec.bitwise(BitwiseOp::Or, a, Some(b), out).unwrap();
+        let phase = |phase: &str| {
+            reg.histogram_snapshot("ambit_resilient_phase_host_us", &[("phase", phase)])
+                .unwrap()
+        };
+        for label in ResilientPhase::LABELS {
+            assert_eq!(phase(label).count, 2, "one per op since attach ({label})");
+        }
+        assert!(phase("replicas").sum > 0.0, "every op runs its replicas in DRAM");
+        assert!(phase("vote").sum > 0.0, "every op votes its destination");
+        // At a 1 % flip rate on 128-bit rows the ops see suspect bits and
+        // retry, so recovery is timed too.
+        assert!(exec.report().retries > retries_before);
+        assert!(phase("recovery").sum > 0.0);
     }
 
     #[test]

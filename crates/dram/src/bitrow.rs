@@ -144,6 +144,12 @@ impl BitRow {
         &self.words
     }
 
+    /// The backing words, mutably. Callers must leave the bits past `len`
+    /// in the last word clear.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()

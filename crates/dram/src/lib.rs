@@ -47,6 +47,7 @@ mod controller;
 mod device;
 mod energy;
 mod error;
+mod fault_rng;
 mod geometry;
 mod refresh;
 pub mod rowclone;

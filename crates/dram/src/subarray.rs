@@ -32,6 +32,7 @@ use ambit_telemetry::Counter;
 
 use crate::bitrow::BitRow;
 use crate::error::{DramError, Result};
+use crate::fault_rng;
 
 /// Which side of the sense amplifier a wordline connects its cells to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -811,12 +812,13 @@ impl Subarray {
     /// the scalar reference is forced. A tie is impossible at arity 3, so
     /// the majority itself draws nothing from the RNG. When transient fault
     /// injection is armed (`tra_fault_threshold > 0`), the kernel's result
-    /// then takes one `next_rng_u64` draw per bitline in bitline order,
-    /// XOR-ed in as a 64-bit flip mask per word: exactly the draws, in
-    /// exactly the order, the bit-serial loop makes, so both paths sense
-    /// the same row and leave the same RNG state. The bit-serial loop stays
-    /// as the reference for forced-scalar mode, every other arity, and
-    /// ties.
+    /// then takes one draw of the `next_rng_u64` stream per bitline, in
+    /// bitline order, XOR-ed in as a 64-bit flip mask per word: exactly
+    /// the draws, in exactly the order, the bit-serial loop makes, so both
+    /// paths sense the same row and leave the same RNG state. The draws
+    /// are computed in four interleaved jump-ahead chains per 8,192
+    /// bitlines (see `inject_tra_faults`). The bit-serial loop stays as
+    /// the reference for forced-scalar mode, every other arity, and ties.
     ///
     /// Armed TRAs count under [`SubarrayStats::scalar_charge_shares`]
     /// (telemetry `path="scalar"`), the path that consumes the fault RNG,
@@ -861,14 +863,14 @@ impl Subarray {
     /// Transient TRA fault injection on a word-parallel sense row: one RNG
     /// draw per bitline, in bitline order, flips that bitline when it
     /// falls below the threshold — the bit-serial loop's stream, applied
-    /// 64 bitlines per XOR.
+    /// 64 bitlines per XOR. The draws are computed in four jump-ahead
+    /// chains per 8,192 bitlines (see `fault_rng`), which yields the same
+    /// flips and the same end state as drawing them one after another.
+    /// Kept out of line so the fault-free activation path compiles
+    /// without it.
+    #[inline(never)]
     fn inject_tra_faults(&mut self, sense: &mut BitRow) {
-        let threshold = self.tra_fault_threshold;
-        sense.map_words(|lanes, word| {
-            (0..lanes).fold(word, |word, lane| {
-                word ^ u64::from(self.next_rng_u64() < threshold) << lane
-            })
-        });
+        fault_rng::inject_flips(&mut self.tie_rng, self.tra_fault_threshold, sense);
     }
 
     /// Word-parallel TRA charge share: the sensed row is the majority of

@@ -7,7 +7,10 @@
 //! value per bitline, in bitline order: the flip stream must replay the
 //! documented reference RNG exactly, and a fault-armed fast-path subarray
 //! must stay in lockstep with a fault-armed forced-scalar one — same sense,
-//! same rows, same RNG state — across consecutive TRAs.
+//! same rows, same RNG state — across consecutive TRAs. The armed tests
+//! run at widths from one bitline to 65,536, on both sides of the
+//! 8,192-bitline groups whose draws the fast path computes in jump-ahead
+//! chains. `PROPTEST_CASES` sets the case count (default 96).
 
 use ambit_conformance::ReferenceRng;
 use ambit_dram::{BitRow, BitlineSide, CellFault, Subarray, TieBreak, Wordline};
@@ -65,13 +68,36 @@ fn assert_tra_equivalent(
     Ok(())
 }
 
+/// Row widths of the fault-armed tests. The fault draws run in chains over
+/// whole groups of 8,192 bitlines and one after another past the last
+/// group, so the widths cover rows with no group (one bitline, one word, a
+/// masked partial word, one bitline short of a group), exactly one group,
+/// a group plus one bitline, a group plus a masked two-word tail, and
+/// eight groups (an 8 KB row).
+const ARMED_WIDTHS: [usize; 8] = [1, 64, 130, 8191, 8192, 8193, 8192 + 130, 65536];
+
+/// A `len`-bit row of seeded pseudo-random words: cheap at any width.
+fn seeded_row(len: usize, seed: u64) -> BitRow {
+    let mut rng = ReferenceRng::with_seed(seed);
+    let words: Vec<u64> = (0..len.div_ceil(64)).map(|_| rng.next()).collect();
+    BitRow::from_words(len, &words)
+}
+
+/// Cases per property: 96, or `PROPTEST_CASES` for a deep run.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(96)
+}
+
 // The model's documented RNG (xorshift64* from the fixed seed, one draw per
 // bitline per fault-armed multi-row activation) is `ReferenceRng`, shared
 // from `ambit_conformance`: any change to the draw stream's shape or order
 // fails the replay tests below.
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn tra_fast_path_matches_scalar_reference(
@@ -119,12 +145,9 @@ proptest! {
             prop_assert_eq!(fast.stats().scalar_charge_shares, 1);
         }
     }
-
     #[test]
     fn armed_fault_injection_replays_the_reference_stream(
-        a in bitrow_strategy(130),
-        b in bitrow_strategy(130),
-        c in bitrow_strategy(130),
+        seeds in (any::<u64>(), any::<u64>(), any::<u64>()),
         sa_bar in any::<bool>(),
         sb_bar in any::<bool>(),
         sc_bar in any::<bool>(),
@@ -133,72 +156,99 @@ proptest! {
         // A fault-armed subarray must flip exactly the bitlines the
         // documented per-bit RNG stream dictates — same seed, same flipped
         // bits, whichever kernel resolves the majority. Bar-side wordlines
-        // and the masked tail of a 130-bit row are both in play.
+        // and masked tails are both in play. A second TRA must flip what
+        // the stream dictates next, which pins the RNG state the first
+        // one left behind.
         let rate = rate_millis as f64 / 1000.0;
-        let mut sa = Subarray::new(8, 130);
-        sa.set_tra_fault_rate(rate).unwrap();
-        sa.poke_row(0, a.clone());
-        sa.poke_row(1, b.clone());
-        sa.poke_row(2, c.clone());
-        let wls = [wordline(0, sa_bar), wordline(1, sb_bar), wordline(2, sc_bar)];
-        let sensed = sa.activate(&wls).unwrap().clone();
-        prop_assert_eq!(sa.stats().scalar_charge_shares, 1);
-        prop_assert_eq!(sa.stats().word_parallel_charge_shares, 0);
-
         let threshold = (rate * u64::MAX as f64) as u64;
-        let mut rng = ReferenceRng::new();
-        let side = |row: &BitRow, bar: bool| if bar { row.not() } else { row.clone() };
-        let clean = BitRow::majority(&side(&a, sa_bar), &side(&b, sb_bar), &side(&c, sc_bar));
-        let expect = BitRow::from_fn(130, |i| clean.get(i) ^ (rng.next() < threshold));
-        prop_assert_eq!(sensed, expect);
+        let wls = [wordline(0, sa_bar), wordline(1, sb_bar), wordline(2, sc_bar)];
+        for bits in ARMED_WIDTHS {
+            let mut sa = Subarray::new(8, bits);
+            sa.set_tra_fault_rate(rate).unwrap();
+            sa.poke_row(0, seeded_row(bits, seeds.0));
+            sa.poke_row(1, seeded_row(bits, seeds.1));
+            sa.poke_row(2, seeded_row(bits, seeds.2));
+            let mut rng = ReferenceRng::new();
+            for round in 0..2 {
+                let inputs: Vec<BitRow> = wls
+                    .iter()
+                    .map(|wl| {
+                        let row = sa.peek_row(wl.row);
+                        if wl.side == BitlineSide::BitlineBar { row.not() } else { row }
+                    })
+                    .collect();
+                let clean = BitRow::majority(&inputs[0], &inputs[1], &inputs[2]);
+                let expect = BitRow::from_fn(bits, |i| clean.get(i) ^ (rng.next() < threshold));
+                let sensed = sa.activate(&wls).unwrap().clone();
+                sa.precharge().unwrap();
+                prop_assert_eq!(sensed, expect, "{} bits, TRA {}", bits, round);
+            }
+            prop_assert_eq!(sa.stats().scalar_charge_shares, 2);
+            prop_assert_eq!(sa.stats().word_parallel_charge_shares, 0);
+        }
     }
 
     #[test]
     fn armed_fast_path_stays_in_lockstep_with_armed_scalar_reference(
-        rows in proptest::collection::vec(bitrow_strategy(130), 8),
+        seeds in proptest::collection::vec(any::<u64>(), 8),
         bars in proptest::collection::vec(any::<bool>(), 15),
         rate_millis in 1u32..400,
     ) {
-        // Four consecutive fault-armed TRAs over rotating rows: the
+        // Five consecutive fault-armed TRAs over rotating rows: the
         // word-kernel subarray and the forced-scalar one must agree on
-        // every sense and every row after each TRA, and still draw the
-        // same flips on the fifth.
+        // every sense and every row after each TRA, which also pins the
+        // RNG state each TRA leaves for the next.
         let rate = rate_millis as f64 / 1000.0;
-        let mk = |force_scalar: bool| {
-            let mut sa = Subarray::new(8, 130);
-            sa.set_scalar_reference(force_scalar);
-            sa.set_tra_fault_rate(rate).unwrap();
-            for (r, row) in rows.iter().enumerate() {
-                sa.poke_row(r, row.clone());
+        for bits in ARMED_WIDTHS {
+            let mk = |force_scalar: bool| {
+                let mut sa = Subarray::new(8, bits);
+                sa.set_scalar_reference(force_scalar);
+                sa.set_tra_fault_rate(rate).unwrap();
+                for (r, &seed) in seeds.iter().enumerate() {
+                    sa.poke_row(r, seeded_row(bits, seed));
+                }
+                sa
+            };
+            let mut fast = mk(false);
+            let mut scalar = mk(true);
+            for round in 0..5 {
+                let wls: Vec<Wordline> = (0..3)
+                    .map(|k| wordline((round + 2 * k) % 8, bars[3 * round + k]))
+                    .collect();
+                let inputs: Vec<BitRow> = wls
+                    .iter()
+                    .map(|wl| {
+                        let row = fast.peek_row(wl.row);
+                        if wl.side == BitlineSide::BitlineBar { row.not() } else { row }
+                    })
+                    .collect();
+                let clean = BitRow::majority(&inputs[0], &inputs[1], &inputs[2]);
+                let s_fast = fast.activate(&wls).unwrap().clone();
+                let s_scalar = scalar.activate(&wls).unwrap().clone();
+                fast.precharge().unwrap();
+                scalar.precharge().unwrap();
+                prop_assert_eq!(
+                    s_fast.xor(&clean),
+                    s_scalar.xor(&clean),
+                    "flips of TRA {} at {} bits",
+                    round,
+                    bits
+                );
+                prop_assert_eq!(&s_fast, &s_scalar);
+                for r in 0..8 {
+                    prop_assert_eq!(
+                        fast.peek_row(r),
+                        scalar.peek_row(r),
+                        "row {} after TRA {} at {} bits",
+                        r,
+                        round,
+                        bits
+                    );
+                }
             }
-            sa
-        };
-        let mut fast = mk(false);
-        let mut scalar = mk(true);
-        for round in 0..5 {
-            let wls: Vec<Wordline> = (0..3)
-                .map(|k| wordline((round + 2 * k) % 8, bars[3 * round + k]))
-                .collect();
-            let inputs: Vec<BitRow> = wls
-                .iter()
-                .map(|wl| {
-                    let row = fast.peek_row(wl.row);
-                    if wl.side == BitlineSide::BitlineBar { row.not() } else { row }
-                })
-                .collect();
-            let clean = BitRow::majority(&inputs[0], &inputs[1], &inputs[2]);
-            let s_fast = fast.activate(&wls).unwrap().clone();
-            let s_scalar = scalar.activate(&wls).unwrap().clone();
-            fast.precharge().unwrap();
-            scalar.precharge().unwrap();
-            prop_assert_eq!(s_fast.xor(&clean), s_scalar.xor(&clean), "flips of TRA {}", round);
-            prop_assert_eq!(&s_fast, &s_scalar);
-            for r in 0..8 {
-                prop_assert_eq!(fast.peek_row(r), scalar.peek_row(r), "row {} after TRA {}", r, round);
-            }
+            prop_assert_eq!(fast.stats().scalar_charge_shares, 5);
+            prop_assert_eq!(fast.stats(), scalar.stats());
         }
-        prop_assert_eq!(fast.stats().scalar_charge_shares, 5);
-        prop_assert_eq!(fast.stats(), scalar.stats());
     }
 }
 

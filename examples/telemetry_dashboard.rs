@@ -10,7 +10,11 @@
 //!   from the command timer,
 //! * per-command and per-operation energy/latency histograms,
 //! * `ambit_resilient_*` recovery counters mirroring the
-//!   [`RecoveryReport`], plus retry/remap/degrade trace events,
+//!   [`RecoveryReport`], plus retry/remap/degrade trace events, and
+//!   `ambit_resilient_phase_host_us{phase}`: where each resilient op spent
+//!   host time — the in-DRAM replica ops (`replicas`), voting and
+//!   scrubbing (`vote`), and retry, repair, remap and CPU fallback
+//!   (`recovery`),
 //! * `ambit_driver_plan_cache_{hits,misses}` from the compiled-program
 //!   cache, and `ambit_charge_share_path_total{path=...}` showing which
 //!   activations resolved on the fault-free word-parallel path versus the
@@ -33,7 +37,7 @@
 //!
 //! Everything downstream of the device model is denominated in *simulated*
 //! DRAM time, so those metrics are bit-for-bit reproducible. The
-//! `ambit_pool_queue_wait_us` and `ambit_batch_phase_host_us` histograms
+//! `ambit_pool_queue_wait_us` and the two `*_phase_host_us` histograms
 //! are the exceptions: they time the host and shift between runs. Run with:
 //! `cargo run --release --example telemetry_dashboard`
 
@@ -146,6 +150,14 @@ fn main() -> Result<(), AmbitError> {
         report.cpu_fallbacks,
         report.degraded
     );
+    println!("# resilient host time by phase (ambit_resilient_phase_host_us, wall clock):");
+    for phase in ["replicas", "vote", "recovery"] {
+        if let Some(h) =
+            registry.histogram_snapshot("ambit_resilient_phase_host_us", &[("phase", phase)])
+        {
+            println!("#   {phase}: {:.1} us over {} ops", h.sum, h.count);
+        }
+    }
     for (name, mem) in [("resilient", exec.memory()), ("batch", &batch_mem)] {
         let s = mem.controller().device().stats();
         println!(
