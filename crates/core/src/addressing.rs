@@ -37,6 +37,40 @@ impl std::fmt::Display for RowAddress {
     }
 }
 
+/// The wordlines one row address raises: one, or a pre-wired pair or
+/// triple of the B-group. Stored inline, so decoding an address allocates
+/// nothing; it dereferences to the raised `&[Wordline]`.
+#[derive(Clone, Copy)]
+pub struct Wordlines {
+    lines: [Wordline; 3],
+    len: u8,
+}
+
+impl Wordlines {
+    fn of<const N: usize>(raised: [Wordline; N]) -> Self {
+        let mut lines = [Wordline::data(0); 3];
+        lines[..N].copy_from_slice(&raised);
+        Wordlines {
+            lines,
+            len: N as u8,
+        }
+    }
+}
+
+impl std::ops::Deref for Wordlines {
+    type Target = [Wordline];
+
+    fn deref(&self) -> &[Wordline] {
+        &self.lines[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for Wordlines {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Physical placement of the special rows within each subarray, and the
 /// B-group decode table.
 ///
@@ -131,50 +165,35 @@ impl SubarrayLayout {
     /// Returns [`AmbitError::Dram`] with an unmapped-address error for
     /// B-group indices above 15 or C-group indices above 1, and
     /// [`AmbitError::DataRowOutOfRange`] for bad D indices.
-    pub fn decode(&self, address: RowAddress) -> Result<Vec<Wordline>> {
+    pub fn decode(&self, address: RowAddress) -> Result<Wordlines> {
         use ambit_dram::DramError::UnmappedAddress;
+        let (d, n) = (Wordline::data, Wordline::negated);
         Ok(match address {
-            RowAddress::B(0) => vec![Wordline::data(ROW_T0)],
-            RowAddress::B(1) => vec![Wordline::data(ROW_T1)],
-            RowAddress::B(2) => vec![Wordline::data(ROW_T2)],
-            RowAddress::B(3) => vec![Wordline::data(ROW_T3)],
-            RowAddress::B(4) => vec![Wordline::data(ROW_DCC0)],
-            RowAddress::B(5) => vec![Wordline::negated(ROW_DCC0)],
-            RowAddress::B(6) => vec![Wordline::data(ROW_DCC1)],
-            RowAddress::B(7) => vec![Wordline::negated(ROW_DCC1)],
-            RowAddress::B(8) => vec![Wordline::negated(ROW_DCC0), Wordline::data(ROW_T0)],
-            RowAddress::B(9) => vec![Wordline::negated(ROW_DCC1), Wordline::data(ROW_T1)],
-            RowAddress::B(10) => vec![Wordline::data(ROW_T2), Wordline::data(ROW_T3)],
-            RowAddress::B(11) => vec![Wordline::data(ROW_T0), Wordline::data(ROW_T3)],
-            RowAddress::B(12) => vec![
-                Wordline::data(ROW_T0),
-                Wordline::data(ROW_T1),
-                Wordline::data(ROW_T2),
-            ],
-            RowAddress::B(13) => vec![
-                Wordline::data(ROW_T1),
-                Wordline::data(ROW_T2),
-                Wordline::data(ROW_T3),
-            ],
-            RowAddress::B(14) => vec![
-                Wordline::data(ROW_DCC0),
-                Wordline::data(ROW_T1),
-                Wordline::data(ROW_T2),
-            ],
-            RowAddress::B(15) => vec![
-                Wordline::data(ROW_DCC1),
-                Wordline::data(ROW_T0),
-                Wordline::data(ROW_T3),
-            ],
+            RowAddress::B(0) => Wordlines::of([d(ROW_T0)]),
+            RowAddress::B(1) => Wordlines::of([d(ROW_T1)]),
+            RowAddress::B(2) => Wordlines::of([d(ROW_T2)]),
+            RowAddress::B(3) => Wordlines::of([d(ROW_T3)]),
+            RowAddress::B(4) => Wordlines::of([d(ROW_DCC0)]),
+            RowAddress::B(5) => Wordlines::of([n(ROW_DCC0)]),
+            RowAddress::B(6) => Wordlines::of([d(ROW_DCC1)]),
+            RowAddress::B(7) => Wordlines::of([n(ROW_DCC1)]),
+            RowAddress::B(8) => Wordlines::of([n(ROW_DCC0), d(ROW_T0)]),
+            RowAddress::B(9) => Wordlines::of([n(ROW_DCC1), d(ROW_T1)]),
+            RowAddress::B(10) => Wordlines::of([d(ROW_T2), d(ROW_T3)]),
+            RowAddress::B(11) => Wordlines::of([d(ROW_T0), d(ROW_T3)]),
+            RowAddress::B(12) => Wordlines::of([d(ROW_T0), d(ROW_T1), d(ROW_T2)]),
+            RowAddress::B(13) => Wordlines::of([d(ROW_T1), d(ROW_T2), d(ROW_T3)]),
+            RowAddress::B(14) => Wordlines::of([d(ROW_DCC0), d(ROW_T1), d(ROW_T2)]),
+            RowAddress::B(15) => Wordlines::of([d(ROW_DCC1), d(ROW_T0), d(ROW_T3)]),
             RowAddress::B(i) => {
                 return Err(UnmappedAddress { address: i as usize }.into());
             }
-            RowAddress::C(0) => vec![Wordline::data(ROW_C0)],
-            RowAddress::C(1) => vec![Wordline::data(ROW_C1)],
+            RowAddress::C(0) => Wordlines::of([d(ROW_C0)]),
+            RowAddress::C(1) => Wordlines::of([d(ROW_C1)]),
             RowAddress::C(i) => {
                 return Err(UnmappedAddress { address: i as usize }.into());
             }
-            RowAddress::D(k) => vec![Wordline::data(self.data_row(k)?)],
+            RowAddress::D(k) => Wordlines::of([d(self.data_row(k)?)]),
         })
     }
 
@@ -228,19 +247,19 @@ mod tests {
         let l = layout();
         // B8 = {DCC0-bar, T0}.
         let b8 = l.decode(RowAddress::B(8)).unwrap();
-        assert_eq!(b8, vec![Wordline::negated(ROW_DCC0), Wordline::data(ROW_T0)]);
+        assert_eq!(*b8, [Wordline::negated(ROW_DCC0), Wordline::data(ROW_T0)]);
         // B9 = {DCC1-bar, T1}; B10 = {T2, T3}; B11 = {T0, T3}.
         assert_eq!(
-            l.decode(RowAddress::B(9)).unwrap(),
-            vec![Wordline::negated(ROW_DCC1), Wordline::data(ROW_T1)]
+            *l.decode(RowAddress::B(9)).unwrap(),
+            [Wordline::negated(ROW_DCC1), Wordline::data(ROW_T1)]
         );
         assert_eq!(
-            l.decode(RowAddress::B(10)).unwrap(),
-            vec![Wordline::data(ROW_T2), Wordline::data(ROW_T3)]
+            *l.decode(RowAddress::B(10)).unwrap(),
+            [Wordline::data(ROW_T2), Wordline::data(ROW_T3)]
         );
         assert_eq!(
-            l.decode(RowAddress::B(11)).unwrap(),
-            vec![Wordline::data(ROW_T0), Wordline::data(ROW_T3)]
+            *l.decode(RowAddress::B(11)).unwrap(),
+            [Wordline::data(ROW_T0), Wordline::data(ROW_T3)]
         );
     }
 

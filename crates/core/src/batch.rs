@@ -18,11 +18,10 @@
 //! style (Hajinazar et al., ASPLOS'21). A wave barrier separates dependent
 //! ops.
 
-use std::collections::HashMap;
-
 use crate::controller::OpReceipt;
 use crate::driver::BitVectorHandle;
 use crate::error::{AmbitError, Result};
+use crate::idhash::IdHashMap;
 use crate::ops::BitwiseOp;
 
 /// Identifier of one operation inside a [`BatchBuilder`], returned by the
@@ -122,18 +121,16 @@ pub(crate) enum BatchOp {
 }
 
 impl BatchOp {
-    /// Handles the op reads (the destination is excluded even when it is
-    /// also a source — that in-place hazard is covered by the write).
-    pub(crate) fn reads(&self) -> Vec<BitVectorHandle> {
-        match self {
-            BatchOp::Bitwise { src1, src2, .. } => {
-                let mut r = vec![*src1];
-                r.extend(*src2);
-                r
-            }
-            BatchOp::Maj3 { a, b, c, .. } => vec![*a, *b, *c],
-            BatchOp::Fold { srcs, .. } => srcs.clone(),
-        }
+    /// Handles the op reads, in operand order (the destination is excluded
+    /// even when it is also a source — that in-place hazard is covered by
+    /// the write). Walks the op in place, without allocating.
+    pub(crate) fn reads(&self) -> impl Iterator<Item = BitVectorHandle> + '_ {
+        let (fixed, srcs): ([Option<BitVectorHandle>; 3], &[BitVectorHandle]) = match self {
+            BatchOp::Bitwise { src1, src2, .. } => ([Some(*src1), *src2, None], &[]),
+            BatchOp::Maj3 { a, b, c, .. } => ([Some(*a), Some(*b), Some(*c)], &[]),
+            BatchOp::Fold { srcs, .. } => ([None; 3], srcs),
+        };
+        fixed.into_iter().flatten().chain(srcs.iter().copied())
     }
 
     /// The handle the op writes.
@@ -150,7 +147,7 @@ impl BatchOp {
     /// [`AmbitMemory::free`](crate::AmbitMemory::free) uses to drop exactly
     /// the cached plans a freed handle invalidates.
     pub(crate) fn involves(&self, handle: BitVectorHandle) -> bool {
-        self.writes() == handle || self.reads().contains(&handle)
+        self.writes() == handle || self.reads().any(|r| r == handle)
     }
 
     /// Telemetry mnemonic, matching what the eager entry points record.
@@ -314,7 +311,7 @@ impl BatchBuilder {
                     BatchOp::Bitwise { op, .. } | BatchOp::Fold { op, .. } => Some(*op),
                     BatchOp::Maj3 { .. } => None,
                 },
-                reads: o.reads(),
+                reads: o.reads().collect(),
                 writes: o.writes(),
             })
             .collect()
@@ -355,8 +352,8 @@ impl BatchBuilder {
             .map(|&(later, earlier)| (earlier, later))
             .collect();
         // Hazard analysis over raw handle ids, in submission order.
-        let mut last_writer: HashMap<u64, usize> = HashMap::new();
-        let mut readers_since_write: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut last_writer: IdHashMap<u64, usize> = IdHashMap::default();
+        let mut readers_since_write: IdHashMap<u64, Vec<usize>> = IdHashMap::default();
         for (i, op) in self.ops.iter().enumerate() {
             for r in op.reads() {
                 if let Some(&w) = last_writer.get(&r.0) {
@@ -425,7 +422,7 @@ impl BatchBuilder {
     /// whose dependencies are placed.
     #[cfg(test)]
     pub(crate) fn waves_by_levels(&self) -> Result<Vec<Vec<usize>>> {
-        use std::collections::HashSet;
+        use std::collections::{HashMap, HashSet};
         let n = self.ops.len();
         if n == 0 {
             return Err(AmbitError::EmptyBatch);

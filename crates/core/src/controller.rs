@@ -2,8 +2,6 @@
 //! functional DRAM model while accounting timing and energy
 //! (paper Sections 5.2–5.5).
 
-use std::collections::HashSet;
-
 use ambit_dram::{
     AapMode, Bank, BankId, BitRow, CampaignTick, CommandTimer, DramDevice, DramError,
     DramGeometry, EnergyModel, FaultCampaign, RefreshScheduler, TimingParams,
@@ -85,8 +83,9 @@ pub struct AmbitController {
     device: DramDevice,
     timer: CommandTimer,
     layout: SubarrayLayout,
-    /// Subarrays whose control rows have been initialized.
-    control_ready: HashSet<(usize, usize)>,
+    /// Whether a subarray's control rows have been initialized, indexed by
+    /// `flat_bank * subarrays_per_bank + subarray`.
+    control_ready: Vec<bool>,
     /// Subarray-level parallelism: each (bank, subarray) pair gets its own
     /// timing pipeline and per-subarray precharges.
     salp: bool,
@@ -106,7 +105,7 @@ impl AmbitController {
             device: DramDevice::new(geometry),
             timer,
             layout: SubarrayLayout::new(geometry.rows_per_subarray),
-            control_ready: HashSet::new(),
+            control_ready: vec![false; geometry.total_banks() * geometry.subarrays_per_bank],
             salp: false,
         }
     }
@@ -498,14 +497,16 @@ impl AmbitController {
     /// Ensures C0/C1 hold their constants in the given subarray (the
     /// manufacturer initializes these once; we do it lazily).
     fn ensure_control_rows(&mut self, bank: BankId, subarray: usize) {
-        let flat = bank.flat_index(self.device.geometry());
-        if !self.control_ready.insert((flat, subarray)) {
+        let geometry = self.device.geometry();
+        let slot = bank.flat_index(geometry) * geometry.subarrays_per_bank + subarray;
+        if subarray < geometry.subarrays_per_bank && self.control_ready[slot] {
             return;
         }
         let bits = self.row_bits();
         let sa = self.device.bank_mut(bank).subarray_mut(subarray);
         sa.poke_row(crate::addressing::ROW_C0, BitRow::zeros(bits));
         sa.poke_row(crate::addressing::ROW_C1, BitRow::ones(bits));
+        self.control_ready[slot] = true;
     }
 }
 

@@ -31,6 +31,7 @@ use crate::compiler::{compile_fold, fold_supported};
 use crate::controller::{AmbitController, OpReceipt};
 use crate::error::{AmbitError, Result};
 use crate::fanout::{Fanout, PoolStats};
+use crate::idhash::IdHashMap;
 use crate::ops::{compile, compile_majority, AmbitCmd, BitwiseOp};
 
 /// Opaque handle to an allocated Ambit bitvector.
@@ -167,7 +168,7 @@ pub struct AmbitMemory {
     /// shared-reference planning stays safe across OS threads and
     /// `AmbitMemory` is `Sync`. Plans are shared slices, so a hit costs a
     /// reference-count increment rather than a deep copy of every program.
-    plan_cache: Mutex<HashMap<BatchOp, Arc<[ChunkProgram]>>>,
+    plan_cache: Mutex<IdHashMap<BatchOp, Arc<[ChunkProgram]>>>,
     /// Cache hit/miss counts, mirrored into
     /// `ambit_driver_plan_cache_{hits,misses}` when telemetry is attached.
     /// Atomics (matching the telemetry crate's counters) so concurrent
@@ -431,7 +432,7 @@ impl AmbitMemory {
             bad_rows: Vec::new(),
             profile: None,
             telemetry: None,
-            plan_cache: Mutex::new(HashMap::new()),
+            plan_cache: Mutex::new(IdHashMap::default()),
             plan_cache_hits: AtomicU64::new(0),
             plan_cache_misses: AtomicU64::new(0),
             pool: Fanout::with_default_size(),
@@ -512,7 +513,19 @@ impl AmbitMemory {
         }
     }
 
-    /// Current simulated time, picoseconds.
+    /// Current simulated time on the command bus, picoseconds: the cycle
+    /// at which the next command may be requested.
+    ///
+    /// It lags the receipts of eager calls, by design. Each command moves
+    /// the bus one clock (tCK) past the time it was requested, but the
+    /// command itself issues only once its bank is ready (tRAS, tRP, the
+    /// activation window), and the bank stays busy after it. A receipt's
+    /// `end_ps` is when the bank's last precharge completes: that
+    /// precharge's issue time plus tRP. So 36 eager ORs over 8 Mb vectors
+    /// on [`DramGeometry::ddr3_module`] end at 113.0 µs by their receipts
+    /// while `now_ps` reads 69.1 µs. For completion time use the receipts,
+    /// or `controller().timer().horizon_ps()`, which covers every issued
+    /// command including the tRP of the last precharge.
     pub fn now_ps(&self) -> u64 {
         self.ctrl.timer().now_ps()
     }
@@ -1196,7 +1209,7 @@ impl AmbitMemory {
     /// The locked plan cache. A thread that panicked while holding the
     /// lock may have left the map half-updated; the cache is only a memo,
     /// so recovery clears it and the next lookups recompile.
-    fn plan_cache(&self) -> MutexGuard<'_, HashMap<BatchOp, Arc<[ChunkProgram]>>> {
+    fn plan_cache(&self) -> MutexGuard<'_, IdHashMap<BatchOp, Arc<[ChunkProgram]>>> {
         self.plan_cache.lock().unwrap_or_else(|poisoned| {
             self.plan_cache.clear_poison();
             let mut cache = poisoned.into_inner();
@@ -1962,6 +1975,69 @@ mod tests {
         mem.poke_bits(a, &vec![true; bits]).unwrap();
         mem.bitwise(BitwiseOp::Not, a, None, d).unwrap();
         assert_eq!(mem.plan_cache_stats().0, 3, "no hits after the eviction");
+    }
+
+    #[test]
+    fn ops_sharing_handles_keep_separate_plan_cache_entries() {
+        let mut mem = memory();
+        let bits = mem.row_bits() * 2;
+        let mut rng = ChaCha8Rng::seed_from_u64(71);
+        let [a, b, c, d] = [(); 4].map(|_| mem.alloc(bits).unwrap());
+        let data: Vec<Vec<bool>> = (0..3)
+            .map(|_| (0..bits).map(|_| rng.gen()).collect())
+            .collect();
+        for (&h, v) in [a, b, c].iter().zip(&data) {
+            mem.poke_bits(h, v).unwrap();
+        }
+        let expect = |f: fn(bool, bool, bool) -> bool| -> Vec<bool> {
+            (0..bits)
+                .map(|i| f(data[0][i], data[1][i], data[2][i]))
+                .collect()
+        };
+        let or3 = expect(|x, y, z| x | y | z);
+        let maj = expect(|x, y, z| (x & y) | (y & z) | (z & x));
+
+        // Fold: operand order and the op are part of the key.
+        for srcs in [[a, b, c], [c, b, a], [b, a, c]] {
+            mem.bitwise_fold(BitwiseOp::Or, &srcs, d).unwrap();
+            assert_eq!(mem.peek_bits(d).unwrap(), or3);
+        }
+        assert_eq!(mem.plan_cache_stats(), (0, 3));
+        mem.bitwise_fold(BitwiseOp::And, &[a, b, c], d).unwrap();
+        assert_eq!(mem.peek_bits(d).unwrap(), expect(|x, y, z| x & y & z));
+        mem.bitwise_fold(BitwiseOp::Or, &[c, b, a], d).unwrap();
+        assert_eq!(mem.peek_bits(d).unwrap(), or3);
+        assert_eq!(mem.plan_cache_stats(), (1, 4));
+
+        // Bitwise with and without `src2`, over the same first source.
+        mem.bitwise(BitwiseOp::And, a, Some(b), d).unwrap();
+        assert_eq!(mem.peek_bits(d).unwrap(), expect(|x, y, _| x & y));
+        mem.bitwise(BitwiseOp::Xor, b, Some(a), d).unwrap();
+        assert_eq!(mem.peek_bits(d).unwrap(), expect(|x, y, _| x ^ y));
+        mem.bitwise(BitwiseOp::Not, a, None, d).unwrap();
+        assert_eq!(mem.peek_bits(d).unwrap(), expect(|x, _, _| !x));
+        mem.bitwise(BitwiseOp::Copy, a, None, d).unwrap();
+        assert_eq!(mem.peek_bits(d).unwrap(), data[0]);
+        assert!(
+            mem.bitwise(BitwiseOp::Not, a, Some(b), d).is_err(),
+            "a one-source op given two sources fails and is not cached"
+        );
+        assert_eq!(mem.plan_cache_stats(), (1, 8));
+        mem.bitwise(BitwiseOp::Not, a, None, d).unwrap();
+        assert_eq!(mem.peek_bits(d).unwrap(), expect(|x, _, _| !x));
+        mem.bitwise(BitwiseOp::And, b, Some(a), d).unwrap();
+        assert_eq!(mem.peek_bits(d).unwrap(), expect(|x, y, _| x & y));
+        assert_eq!(mem.plan_cache_stats(), (2, 9));
+
+        // Maj3: each operand order is its own entry.
+        for (x, y, z) in [(a, b, c), (b, c, a), (c, a, b), (a, c, b)] {
+            mem.bitwise_maj3(x, y, z, d).unwrap();
+            assert_eq!(mem.peek_bits(d).unwrap(), maj);
+        }
+        assert_eq!(mem.plan_cache_stats(), (2, 13));
+        mem.bitwise_maj3(c, a, b, d).unwrap();
+        assert_eq!(mem.peek_bits(d).unwrap(), maj);
+        assert_eq!(mem.plan_cache_stats(), (3, 13));
     }
 
     #[test]

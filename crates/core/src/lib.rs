@@ -57,6 +57,7 @@ mod driver;
 pub mod ecc;
 mod error;
 mod fanout;
+mod idhash;
 pub mod isa;
 pub mod ops;
 mod physmap;
@@ -64,7 +65,7 @@ pub mod resilient;
 pub mod synth;
 mod throughput;
 
-pub use addressing::{RowAddress, SubarrayLayout};
+pub use addressing::{RowAddress, SubarrayLayout, Wordlines};
 pub use batch::{BatchBuilder, BatchOpView, BatchReceipt, IssuePolicy, OpId};
 pub use compiler::{compile_fold, fold_savings, fold_supported};
 pub use controller::{AmbitController, OpReceipt};

@@ -158,10 +158,12 @@ impl Bank {
         if self.open.is_empty() {
             return Err(DramError::BankNotActivated);
         }
-        for idx in std::mem::take(&mut self.open) {
-            self.subarrays[idx].precharge()?;
-        }
-        Ok(())
+        // Drained in place so `open` keeps its capacity for the next
+        // ACTIVATE; on an error the drop of the drain still empties it.
+        let subarrays = &mut self.subarrays;
+        self.open
+            .drain(..)
+            .try_for_each(|idx| subarrays[idx].precharge())
     }
 
     /// Reads bytes from the open row buffer.
@@ -271,6 +273,42 @@ mod tests {
         bank.precharge().unwrap();
         assert_eq!(bank.subarray(0).peek_row(3), BitRow::ones(8));
         assert_eq!(bank.subarray(2).peek_row(4), BitRow::ones(8));
+    }
+
+    #[test]
+    fn salp_precharge_closes_every_open_subarray_in_activation_order() {
+        let mut bank = Bank::new(4, 8, 8);
+        bank.set_salp(true);
+        for sa in [3, 0, 2] {
+            bank.activate(sa, &[Wordline::data(1)]).unwrap();
+        }
+        assert_eq!(bank.open_subarrays(), &[3, 0, 2]);
+        bank.precharge().unwrap();
+        assert!(bank.open_subarrays().is_empty());
+        assert!(!bank.is_activated());
+        for sa in [3, 0, 2] {
+            assert!(bank.subarray(sa).sense().is_none(), "subarray {sa} closed");
+            assert_eq!(bank.subarray(sa).stats().precharges, 1);
+        }
+        // The list was drained in place, so reopening reuses its buffer.
+        assert!(bank.open.capacity() >= 3);
+        bank.activate(1, &[Wordline::data(2)]).unwrap();
+        bank.activate(3, &[Wordline::data(2)]).unwrap();
+        assert_eq!(bank.open_subarrays(), &[1, 3]);
+        bank.precharge().unwrap();
+        assert_eq!(bank.subarray(3).stats().precharges, 2);
+
+        // A subarray closed behind the bank's back fails the precharge at
+        // its place in the order: the earlier one is closed, the later one
+        // stays active, and the bank's open list is empty either way.
+        for sa in [2, 1, 0] {
+            bank.activate(sa, &[Wordline::data(1)]).unwrap();
+        }
+        bank.subarray_mut(1).precharge().unwrap();
+        assert_eq!(bank.precharge().unwrap_err(), DramError::BankNotActivated);
+        assert!(bank.subarray(2).sense().is_none());
+        assert!(bank.subarray(0).sense().is_some());
+        assert!(bank.open_subarrays().is_empty());
     }
 
     #[test]

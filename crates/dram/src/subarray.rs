@@ -535,8 +535,13 @@ impl Subarray {
 
     /// Keeps `row` as a spare buffer if nothing else holds it and fewer
     /// than [`SPARE_ROWS`] are parked; otherwise just drops this reference.
+    /// The plain strong-count load screens out rows still shared with
+    /// storage before `Arc::get_mut` pays for its compare-exchange.
     fn park(&mut self, mut row: Arc<BitRow>) {
-        if self.spares.len() < SPARE_ROWS && Arc::get_mut(&mut row).is_some() {
+        if self.spares.len() < SPARE_ROWS
+            && Arc::strong_count(&row) == 1
+            && Arc::get_mut(&mut row).is_some()
+        {
             self.spares.push(row);
         }
     }
