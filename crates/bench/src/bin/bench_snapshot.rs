@@ -1488,11 +1488,11 @@ fn characterization_main() -> ExitCode {
 }
 
 /// Band for the synthesized-kernel AAP cost relative to the hand-written
-/// baseline: the compiler may pay for generality, but not more than this
-/// factor, and a ratio below the floor means the A/B measured different
-/// work.
+/// baseline: the compiler's cells must cost no more than the hand-written
+/// ones (its selection reaches their per-bit counts exactly), and a ratio
+/// below the floor means the A/B measured different work.
 const SYNTH_RATIO_MIN: f64 = 0.2;
-const SYNTH_RATIO_MAX: f64 = 4.5;
+const SYNTH_RATIO_MAX: f64 = 1.0;
 
 struct SynthKernelResult {
     name: &'static str,
@@ -1513,6 +1513,8 @@ struct SynthCompileSummary {
     cse_removed: usize,
     dead_removed: usize,
     maj3_steps: usize,
+    xor_steps: usize,
+    nand_nor_steps: usize,
     executed: usize,
     identical: bool,
 }
@@ -1538,6 +1540,8 @@ fn measure_synth_compile(stride: usize) -> SynthCompileSummary {
         cse_removed: 0,
         dead_removed: 0,
         maj3_steps: 0,
+        xor_steps: 0,
+        nand_nor_steps: 0,
         executed: 0,
         identical: true,
     };
@@ -1550,6 +1554,8 @@ fn measure_synth_compile(stride: usize) -> SynthCompileSummary {
         summary.cse_removed += plan.stats().cse_removed;
         summary.dead_removed += plan.stats().dead_removed;
         summary.maj3_steps += plan.stats().maj3_steps;
+        summary.xor_steps += plan.stats().xor_steps;
+        summary.nand_nor_steps += plan.stats().nand_nor_steps;
     }
 
     let mut mem =
@@ -1669,7 +1675,7 @@ fn render_synth_snapshot(
         quick_mode()
     ));
     out.push_str(&format!(
-        "  \"compile\": {{\"total_steps\": {}, \"total_aaps\": {}, \"total_aps\": {}, \"mean_aaps\": {}, \"max_scratch_rows\": {}, \"cse_removed\": {}, \"dead_removed\": {}, \"maj3_steps\": {}}},\n",
+        "  \"compile\": {{\"total_steps\": {}, \"total_aaps\": {}, \"total_aps\": {}, \"mean_aaps\": {}, \"max_scratch_rows\": {}, \"cse_removed\": {}, \"dead_removed\": {}, \"maj3_steps\": {}, \"xor_steps\": {}, \"nand_nor_steps\": {}}},\n",
         compile.total_steps,
         compile.total_aaps,
         compile.total_aps,
@@ -1677,7 +1683,9 @@ fn render_synth_snapshot(
         compile.max_scratch_rows,
         compile.cse_removed,
         compile.dead_removed,
-        compile.maj3_steps
+        compile.maj3_steps,
+        compile.xor_steps,
+        compile.nand_nor_steps
     ));
     out.push_str(&format!(
         "  \"executed\": {{\"tables\": {}, \"identical\": {}}},\n",
@@ -1735,7 +1743,15 @@ fn validate_synth_snapshot(text: &str) -> Result<usize, Vec<String>> {
         }
         None => errors.push("config.scratch_ceiling missing or not an integer".into()),
     }
-    for key in ["total_steps", "total_aaps", "cse_removed", "dead_removed"] {
+    for key in [
+        "total_steps",
+        "total_aaps",
+        "cse_removed",
+        "dead_removed",
+        "maj3_steps",
+        "xor_steps",
+        "nand_nor_steps",
+    ] {
         if doc.get("compile").and_then(|c| c.get(key)).and_then(Json::as_u64).is_none() {
             errors.push(format!("compile.{key} missing or not an integer"));
         }
@@ -1790,7 +1806,7 @@ fn synth_main() -> ExitCode {
     let kernels = measure_synth_kernels(lanes, width);
 
     println!(
-        "synth compile: {} tables -> {} steps, {} AAPs + {} APs (mean {:.1} AAPs/function), max scratch {} rows, CSE -{}, DSE -{}",
+        "synth compile: {} tables -> {} steps, {} AAPs + {} APs (mean {:.1} AAPs/function), max scratch {} rows, CSE -{}, DSE -{}; Maj3 {}, Xor/Xnor {}, Nand/Nor {}",
         compile.tables,
         compile.total_steps,
         compile.total_aaps,
@@ -1799,6 +1815,9 @@ fn synth_main() -> ExitCode {
         compile.max_scratch_rows,
         compile.cse_removed,
         compile.dead_removed,
+        compile.maj3_steps,
+        compile.xor_steps,
+        compile.nand_nor_steps,
     );
     println!(
         "synth execute: {} tables on-device, identical {}",

@@ -50,7 +50,7 @@ pub struct GeneratorConfig {
     pub multi_channel_chance: f64,
     /// Probability that a fault-free program is synth-armed (0 disables):
     /// a slice of its ops become random-truth-table [`ProgOp::Synth`] ops,
-    /// compiled to MAJ/NOT microprograms by the oracle at execution time.
+    /// compiled to bbop microprograms by the oracle at execution time.
     /// Gated like `multi_channel_chance`, so existing configurations keep
     /// their exact draw streams. Synth-armed programs get tighter shape
     /// bounds: each synthesized op needs a scratch-row pool co-located

@@ -164,7 +164,7 @@ pub enum ProgOp {
         dst: usize,
     },
     /// `dst = f(inputs…)` for an arbitrary truth table, synthesized to
-    /// MAJ/NOT microprograms by [`ambit_core::synth`] at execution time.
+    /// bbop microprograms by [`ambit_core::synth`] at execution time.
     /// Input `j` of an assignment contributes bit `j` of the minterm index;
     /// the result bit is bit `index` of `table`.
     Synth {
@@ -173,7 +173,7 @@ pub enum ProgOp {
         /// Input vector indices (1 ..= 5; inputs may repeat).
         inputs: Vec<usize>,
         /// Destination vector index (may alias an input; the synthesized
-        /// program reads all inputs before its trailing output write).
+        /// program reads all inputs before it writes the output).
         dst: usize,
     },
 }
