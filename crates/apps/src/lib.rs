@@ -34,6 +34,7 @@
 //! assert!(result.ambit_s > 0.0 && result.baseline_s > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -39,9 +39,11 @@
 //!   TRA at 1 KB and 8 KB rows (word kernel plus per-bitline fault draws
 //!   against the scalar loop drawing the same stream) and a driver plan-cache
 //!   hit-rate measurement. Writes `BENCH_hotpath.json` (override:
-//!   `AMBIT_BENCH_HOTPATH_SNAPSHOT`) and self-validates a ≥10× wall-clock
-//!   speedup on fault-free 8 KB-row TRA, ≥2× on fault-armed 8 KB-row TRA,
-//!   and byte-identical results everywhere.
+//!   `AMBIT_BENCH_HOTPATH_SNAPSHOT`), with the fault-draw version that
+//!   ran ([`ambit_dram::fault_draw_kernel`]) in its config, and
+//!   self-validates a ≥10× wall-clock speedup on fault-free 8 KB-row
+//!   TRA, ≥2× on fault-armed 8 KB-row TRA, and byte-identical results
+//!   everywhere.
 //! * `bench_snapshot --validate-hotpath <path>` re-checks a previously
 //!   written hotpath snapshot.
 //!
@@ -788,8 +790,9 @@ fn render_hotpath_snapshot(
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"ambit-bench-hotpath/v1\",\n");
     out.push_str(&format!(
-        "  \"config\": {{\"rows\": 8, \"reps_tra\": {}, \"quick\": {}}},\n",
+        "  \"config\": {{\"rows\": 8, \"reps_tra\": {}, \"fault_draw_kernel\": \"{}\", \"quick\": {}}},\n",
         reps_tra,
+        json::escape(ambit_dram::fault_draw_kernel()),
         quick_mode()
     ));
     out.push_str("  \"sweep\": [\n");
@@ -821,9 +824,10 @@ fn render_hotpath_snapshot(
     out
 }
 
-/// Validates a hotpath snapshot: schema marker, per-entry fields, byte
-/// identity everywhere, the ≥[`TRA_SPEEDUP_FLOOR`] fast-path speedup and
-/// the [`HOTPATH_OPS_FLOOR`] absolute floor on fault-free 8 KB TRA, the
+/// Validates a hotpath snapshot: schema marker, the recorded fault-draw
+/// kernel name, per-entry fields, byte identity everywhere, the
+/// ≥[`TRA_SPEEDUP_FLOOR`] fast-path speedup and the [`HOTPATH_OPS_FLOOR`]
+/// absolute floor on fault-free 8 KB TRA, the
 /// ≥[`ARMED_TRA_SPEEDUP_FLOOR`] speedup on fault-armed 8 KB TRA, and the
 /// plan-cache hit rate.
 fn validate_hotpath_snapshot(text: &str) -> Result<usize, Vec<String>> {
@@ -834,6 +838,10 @@ fn validate_hotpath_snapshot(text: &str) -> Result<usize, Vec<String>> {
     };
     if doc.get("schema").and_then(Json::as_str) != Some("ambit-bench-hotpath/v1") {
         errors.push("missing or wrong \"schema\" marker".into());
+    }
+    let kernel = doc.get("config").and_then(|c| c.get("fault_draw_kernel")).and_then(Json::as_str);
+    if !matches!(kernel, Some("avx512" | "avx2" | "portable")) {
+        errors.push("config.fault_draw_kernel missing or not avx512, avx2 or portable".into());
     }
     let Some(sweep) = doc.get("sweep").and_then(Json::as_arr) else {
         errors.push("\"sweep\" missing or not an array".into());

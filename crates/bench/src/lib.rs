@@ -5,6 +5,7 @@
 //! benches in `benches/` measure the simulator itself. This library crate
 //! holds the shared report-formatting helpers and quick-mode plumbing.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -31,6 +31,7 @@
 //! assert!(outcome.sensed_one);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

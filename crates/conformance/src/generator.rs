@@ -200,7 +200,7 @@ pub fn generate(seed: u64, cfg: &GeneratorConfig) -> Program {
         // truth tables; the draw is gated on arming so un-armed programs
         // keep their exact op streams.
         if synth_armed && rng.chance(0.35) {
-            let n_inputs = 1 + rng.below(3) as usize;
+            let n_inputs = 1 + rng.below(5) as usize;
             let table = rng.below(1 << (1u64 << n_inputs));
             let inputs = (0..n_inputs).map(|_| pick(&mut rng)).collect();
             ops.push(ProgOp::Synth { table, inputs, dst: pick(&mut rng) });
@@ -329,7 +329,7 @@ mod tests {
         for p in &synth {
             assert!(p.fault_tra_rate.is_none() && p.profile_seed.is_none());
         }
-        // The input-arity and table spaces both get explored.
+        // Every input arity of `ProgOp::Synth` (1 ..= 5) gets drawn.
         let arities: std::collections::HashSet<usize> = synth
             .iter()
             .flat_map(|p| p.ops.iter())
@@ -338,7 +338,9 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(arities.len() >= 2, "only arities {arities:?} drawn");
+        for arity in 1..=5 {
+            assert!(arities.contains(&arity), "arity {arity} never drawn: {arities:?}");
+        }
         // A zero knob takes no draws at all: the default configuration
         // emits no synth ops and its programs keep the pre-knob shapes
         // (the gating idiom shared with multi_channel_chance).

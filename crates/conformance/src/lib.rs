@@ -24,6 +24,7 @@
 //! * [`json`] — the dependency-free JSON reader/writer behind the repro
 //!   format.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod generator;

@@ -5,6 +5,7 @@ use ambit_telemetry::Registry;
 use crate::bank::Bank;
 use crate::bitrow::BitRow;
 use crate::error::Result;
+use crate::fault_rng::fault_draw_kernel;
 use crate::geometry::{BankId, DramGeometry, RowLocation};
 use crate::subarray::{SubarrayStats, TieBreak, Wordline};
 
@@ -214,8 +215,17 @@ impl DramDevice {
     /// installs them in every subarray, making the word-parallel vs scalar
     /// split observable in the Prometheus exposition. `path="scalar"` is
     /// the path that consumes the fault RNG: fault-armed TRAs count there
-    /// although the word kernel resolves them.
+    /// although the word kernel resolves them. Also publishes the info
+    /// gauge `ambit_fault_draw_kernel{kernel=...} 1`, naming the fault-draw
+    /// version this process runs ([`fault_draw_kernel`]).
     pub fn set_telemetry(&mut self, registry: &Registry) {
+        registry
+            .gauge(
+                "ambit_fault_draw_kernel",
+                "1 for the fault-draw version this process runs",
+                &[("kernel", fault_draw_kernel())],
+            )
+            .set(1.0);
         let help = "Multi-row charge shares by resolution path";
         let word_parallel = registry.counter(
             "ambit_charge_share_path_total",
@@ -293,6 +303,17 @@ mod tests {
         assert_eq!(dev.peek(loc).count_ones(), 0);
         dev.poke(loc, BitRow::ones(g.row_bits()));
         assert_eq!(dev.peek(loc).count_ones(), g.row_bits());
+    }
+
+    #[test]
+    fn attaching_telemetry_names_the_fault_draw_kernel() {
+        let mut dev = DramDevice::new(DramGeometry::tiny());
+        let registry = Registry::new();
+        dev.set_telemetry(&registry);
+        let kernel = [("kernel", fault_draw_kernel())];
+        assert_eq!(registry.gauge_value("ambit_fault_draw_kernel", &kernel), Some(1.0));
+        let line = format!("ambit_fault_draw_kernel{{kernel=\"{}\"}} 1", fault_draw_kernel());
+        assert!(registry.render_prometheus().contains(&line), "no {line}");
     }
 
     #[test]

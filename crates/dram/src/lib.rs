@@ -38,6 +38,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_debug_implementations)]
 
 mod bank;
@@ -66,6 +68,7 @@ pub use controller::{
 pub use device::DramDevice;
 pub use energy::{EnergyAccount, EnergyModel};
 pub use error::{DramError, Result};
+pub use fault_rng::fault_draw_kernel;
 pub use geometry::{BankId, DramGeometry, RowLocation};
 pub use scheduler::{Completion, FrFcfsScheduler, MemoryRequest, ScheduleStats};
 pub use refresh::{refreshed_throughput, RefreshParams, RefreshScheduler};

@@ -821,9 +821,10 @@ impl Subarray {
     /// bitline order, XOR-ed in as a 64-bit flip mask per word: exactly
     /// the draws, in exactly the order, the bit-serial loop makes, so both
     /// paths sense the same row and leave the same RNG state. The draws
-    /// are computed in four interleaved jump-ahead chains per 8,192
-    /// bitlines (see `inject_tra_faults`). The bit-serial loop stays as
-    /// the reference for forced-scalar mode, every other arity, and ties.
+    /// are computed in interleaved jump-ahead chains per 8,192 bitlines,
+    /// 16, 8 or 4 of them as the CPU allows (see `inject_tra_faults`).
+    /// The bit-serial loop stays as the reference for forced-scalar mode,
+    /// every other arity, and ties.
     ///
     /// Armed TRAs count under [`SubarrayStats::scalar_charge_shares`]
     /// (telemetry `path="scalar"`), the path that consumes the fault RNG,
@@ -868,11 +869,12 @@ impl Subarray {
     /// Transient TRA fault injection on a word-parallel sense row: one RNG
     /// draw per bitline, in bitline order, flips that bitline when it
     /// falls below the threshold — the bit-serial loop's stream, applied
-    /// 64 bitlines per XOR. The draws are computed in four jump-ahead
-    /// chains per 8,192 bitlines (see `fault_rng`), which yields the same
-    /// flips and the same end state as drawing them one after another.
-    /// Kept out of line so the fault-free activation path compiles
-    /// without it.
+    /// 64 bitlines per XOR. The draws are computed in jump-ahead chains
+    /// per 8,192 bitlines: 16 in AVX-512 vector lanes, 8 under AVX2, or 4
+    /// scalar chains on other CPUs (see `fault_rng`). Every layout yields
+    /// the same flips and the same end state as drawing them one after
+    /// another. Kept out of line so the fault-free activation path
+    /// compiles without it.
     #[inline(never)]
     fn inject_tra_faults(&mut self, sense: &mut BitRow) {
         fault_rng::inject_flips(&mut self.tie_rng, self.tra_fault_threshold, sense);

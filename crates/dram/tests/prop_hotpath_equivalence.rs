@@ -69,11 +69,12 @@ fn assert_tra_equivalent(
 }
 
 /// Row widths of the fault-armed tests. The fault draws run in chains over
-/// whole groups of 8,192 bitlines and one after another past the last
-/// group, so the widths cover rows with no group (one bitline, one word, a
-/// masked partial word, one bitline short of a group), exactly one group,
-/// a group plus one bitline, a group plus a masked two-word tail, and
-/// eight groups (an 8 KB row).
+/// whole groups of 8,192 bitlines (16 segments of 512 bitlines under
+/// AVX-512, 8 of 1,024 under AVX2, 4 of 2,048 otherwise) and one after
+/// another past the last group, so the widths cover rows with no group
+/// (one bitline, one word, a masked partial word, one bitline short of a
+/// group), exactly one group, a group plus one bitline, a group plus a
+/// masked two-word tail, and eight groups (an 8 KB row).
 const ARMED_WIDTHS: [usize; 8] = [1, 64, 130, 8191, 8192, 8193, 8192 + 130, 65536];
 
 /// A `len`-bit row of seeded pseudo-random words: cheap at any width.

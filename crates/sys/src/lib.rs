@@ -23,6 +23,7 @@
 //! assert!(speedup > 35.0, "paper reports 44.9x on average");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

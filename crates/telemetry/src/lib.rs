@@ -37,6 +37,7 @@
 //! assert_eq!(reg.export_jsonl().lines().count(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -43,6 +43,7 @@
 //! # Ok::<(), ambit_repro::core::AmbitError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The commodity-DRAM substrate (re-export of `ambit-dram`).
