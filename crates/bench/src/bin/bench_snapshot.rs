@@ -36,11 +36,10 @@
 //!   mixes {tra, mixed} over the word-parallel charge-share fast
 //!   path versus the forced bit-serial scalar reference
 //!   ([`ambit_dram::Subarray::set_scalar_reference`]), plus fault-armed
-//!   TRA at 1 KB and 8 KB rows (word kernel plus per-bitline fault draws
-//!   against the scalar loop drawing the same stream) and a driver plan-cache
-//!   hit-rate measurement. Writes `BENCH_hotpath.json` (override:
-//!   `AMBIT_BENCH_HOTPATH_SNAPSHOT`), with the fault-draw version that
-//!   ran ([`ambit_dram::fault_draw_kernel`]) in its config, and
+//!   TRA at 1 KB and 8 KB rows (word kernel plus geometric fault gaps
+//!   against the scalar loop checking every bitline against the same
+//!   gaps) and a driver plan-cache hit-rate measurement. Writes
+//!   `BENCH_hotpath.json` (override: `AMBIT_BENCH_HOTPATH_SNAPSHOT`) and
 //!   self-validates a ≥10× wall-clock speedup on fault-free 8 KB-row
 //!   TRA, ≥2× on fault-armed 8 KB-row TRA, and byte-identical results
 //!   everywhere.
@@ -629,8 +628,8 @@ fn validate_batch_snapshot(text: &str) -> Result<(usize, Vec<String>), Vec<Strin
 const TRA_SPEEDUP_FLOOR: f64 = 10.0;
 
 /// Required wall-clock speedup on fault-armed 8 KB TRA: the word kernel
-/// plus the per-bitline fault draw against the bit-serial loop making the
-/// same draws. The draws bound the gain well below the fault-free one.
+/// plus the geometric fault gaps against the bit-serial loop checking
+/// every bitline against the same gaps.
 const ARMED_TRA_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Coarse absolute regression floor on fast-path TRA throughput at 8 KB
@@ -790,9 +789,8 @@ fn render_hotpath_snapshot(
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"ambit-bench-hotpath/v1\",\n");
     out.push_str(&format!(
-        "  \"config\": {{\"rows\": 8, \"reps_tra\": {}, \"fault_draw_kernel\": \"{}\", \"quick\": {}}},\n",
+        "  \"config\": {{\"rows\": 8, \"reps_tra\": {}, \"quick\": {}}},\n",
         reps_tra,
-        json::escape(ambit_dram::fault_draw_kernel()),
         quick_mode()
     ));
     out.push_str("  \"sweep\": [\n");
@@ -824,8 +822,7 @@ fn render_hotpath_snapshot(
     out
 }
 
-/// Validates a hotpath snapshot: schema marker, the recorded fault-draw
-/// kernel name, per-entry fields, byte identity everywhere, the
+/// Validates a hotpath snapshot: schema marker, per-entry fields, byte identity everywhere, the
 /// ≥[`TRA_SPEEDUP_FLOOR`] fast-path speedup and the [`HOTPATH_OPS_FLOOR`]
 /// absolute floor on fault-free 8 KB TRA, the
 /// ≥[`ARMED_TRA_SPEEDUP_FLOOR`] speedup on fault-armed 8 KB TRA, and the
@@ -838,10 +835,6 @@ fn validate_hotpath_snapshot(text: &str) -> Result<usize, Vec<String>> {
     };
     if doc.get("schema").and_then(Json::as_str) != Some("ambit-bench-hotpath/v1") {
         errors.push("missing or wrong \"schema\" marker".into());
-    }
-    let kernel = doc.get("config").and_then(|c| c.get("fault_draw_kernel")).and_then(Json::as_str);
-    if !matches!(kernel, Some("avx512" | "avx2" | "portable")) {
-        errors.push("config.fault_draw_kernel missing or not avx512, avx2 or portable".into());
     }
     let Some(sweep) = doc.get("sweep").and_then(Json::as_arr) else {
         errors.push("\"sweep\" missing or not an array".into());
@@ -938,9 +931,10 @@ fn hotpath_main() -> ExitCode {
             results.push(measure_hotpath(row_bytes, mix, reps_tra, 0.0));
         }
     }
-    // Fault-armed: the word kernel plus one fault draw per bitline against
-    // the bit-serial loop drawing the same stream; the final states must
-    // match bit for bit. 1 KB is the `resilient_query` benchmark's row.
+    // Fault-armed: the word kernel plus the geometric fault gaps against
+    // the bit-serial loop checking every bitline against the same gaps;
+    // the final states must match bit for bit. 1 KB is the
+    // `resilient_query` benchmark's row.
     for row_bytes in [1024usize, 8192] {
         results.push(measure_hotpath(row_bytes, "tra", reps_tra, 0.001));
     }

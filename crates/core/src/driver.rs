@@ -1459,6 +1459,23 @@ impl AmbitMemory {
             .collect()
     }
 
+    /// Borrowing backdoor read: [`peek_rows`](Self::peek_rows) without the
+    /// row copies, one row per chunk in order.
+    ///
+    /// # Errors
+    ///
+    /// Returns an unknown-handle error for stale handles.
+    pub(crate) fn peek_row_refs(
+        &self,
+        handle: BitVectorHandle,
+    ) -> Result<impl Iterator<Item = Result<&BitRow>> + '_> {
+        let meta = self.meta(handle)?;
+        Ok(meta.chunks.iter().map(|chunk| {
+            self.ctrl
+                .peek_data_row(chunk.bank, chunk.subarray, chunk.d_index)
+        }))
+    }
+
     /// Reads the vector's bits back to the host through the DRAM protocol
     /// (timed).
     ///

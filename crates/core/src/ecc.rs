@@ -143,23 +143,26 @@ impl TmrVector {
         }
     }
 
-    /// Word-wise vote over the three replicas' packed rows.
+    /// Word-wise vote over the three replicas' packed rows, read in place
+    /// (borrowed from the device, not copied).
     ///
     /// # Errors
     ///
     /// Propagates driver errors (stale handle).
     pub(crate) fn vote(&self, mem: &AmbitMemory) -> Result<PackedVote> {
-        let [a, b, c] = self.replicas.map(|r| mem.peek_rows(r));
+        let [a, b, c] = self.replicas.map(|r| mem.peek_row_refs(r));
         let (a, b, c) = (a?, b?, c?);
-        let mut voted = Vec::with_capacity(a.len());
-        let mut disagree = Vec::with_capacity(a.len());
-        for ((mut a, b), mut c) in a.into_iter().zip(&b).zip(c) {
-            voted.push(BitRow::majority(&a, b, &c));
-            // a ^= b; c ^= b; a |= c  =>  (a^b) | (b^c)
-            a.zip_with_into(b, |x, y| x ^ y);
-            c.zip_with_into(b, |x, y| x ^ y);
-            a.zip_with_into(&c, |x, y| x | y);
-            disagree.push(a);
+        let mut voted = Vec::with_capacity(a.size_hint().0);
+        let mut disagree = Vec::with_capacity(a.size_hint().0);
+        for ((a, b), c) in a.zip(b).zip(c) {
+            let (a, b, c) = (a?, b?, c?);
+            voted.push(BitRow::majority(a, b, c));
+            // (a^b) | (b^c) in one pass over a copy of a; `map_words`
+            // visits the words in order.
+            let mut bc = b.words().iter().zip(c.words());
+            let mut mask = a.clone();
+            mask.map_words(|_, a| bc.next().map_or(0, |(b, c)| (a ^ b) | (b ^ c)));
+            disagree.push(mask);
         }
         self.clear_padding(&mut voted);
         self.clear_padding(&mut disagree);

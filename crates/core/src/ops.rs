@@ -56,6 +56,17 @@ impl BitwiseOp {
         }
     }
 
+    /// Triple-row activations in the operation's Figure 8 program: each
+    /// one senses through the majority and may flip a result bit under
+    /// transient TRA faults.
+    pub fn tras(&self) -> usize {
+        match self {
+            BitwiseOp::And | BitwiseOp::Or | BitwiseOp::Nand | BitwiseOp::Nor => 1,
+            BitwiseOp::Xor | BitwiseOp::Xnor => 3,
+            BitwiseOp::Not | BitwiseOp::Copy | BitwiseOp::InitZero | BitwiseOp::InitOne => 0,
+        }
+    }
+
     /// Mnemonic, as used in the bbop ISA.
     pub fn mnemonic(&self) -> &'static str {
         match self {
@@ -260,6 +271,25 @@ mod tests {
         assert_eq!(counts(BitwiseOp::Xor), (5, 2));
         assert_eq!(counts(BitwiseOp::Xnor), (5, 2));
         assert_eq!(counts(BitwiseOp::Copy), (1, 0));
+    }
+
+    #[test]
+    fn tras_count_the_triple_activations_of_each_program() {
+        let layout = crate::addressing::SubarrayLayout::new(1024);
+        let triple = |a| layout.wordline_count(a).unwrap() == 3;
+        let (d, e, k) = (RowAddress::D(0), RowAddress::D(1), RowAddress::D(2));
+        for op in BitwiseOp::FIGURE9_OPS.into_iter().chain([BitwiseOp::Copy, BitwiseOp::InitZero]) {
+            let srcs = if op.source_count() == 2 { Some(e) } else { None };
+            let program = compile(op, d, srcs, k).unwrap();
+            let tras = program
+                .iter()
+                .filter(|c| match **c {
+                    AmbitCmd::Aap(src, _) => triple(src),
+                    AmbitCmd::Ap(addr) => triple(addr),
+                })
+                .count();
+            assert_eq!(op.tras(), tras, "{op}");
+        }
     }
 
     #[test]

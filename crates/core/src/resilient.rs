@@ -791,12 +791,14 @@ impl ResilientExecutor {
             }
             self.report.faults_detected += suspects as u64;
 
-            // Each independently-flipped bit disagrees in one replica, so
-            // at the threshold rate the expected suspect count is
-            // 3 · threshold · bits. Degrade only on a statistically clear
-            // excess (mean + 3σ + slack), so small vectors don't trip on
-            // Poisson noise.
-            let expected_at_threshold = 3.0 * self.cfg.degrade_threshold * bits as f64;
+            // Each independently-flipped bit disagrees in one replica, and
+            // each of the op's TRAs may flip a result bit, so at the
+            // threshold rate the expected suspect count is at most
+            // 3 · threshold · TRAs · bits. Degrade only on a statistically
+            // clear excess (mean + 3σ + slack), so small vectors don't
+            // trip on Poisson noise.
+            let tras = op.tras().max(1) as f64;
+            let expected_at_threshold = 3.0 * self.cfg.degrade_threshold * tras * bits as f64;
             let degrade_bound = expected_at_threshold + 3.0 * expected_at_threshold.sqrt() + 3.0;
             let budget_ok = aaps_spent + last_attempt_aaps <= aap_budget;
             if retries < max_retries && budget_ok {

@@ -1,232 +1,158 @@
-//! Transient TRA fault draws on a sensed row, computed in interleaved
-//! jump-ahead chains of the subarray's xorshift64\* stream.
+//! Transient TRA fault flips, drawn as geometric gaps between flips from
+//! the subarray's xorshift64\* stream.
 //!
-//! A fault-armed TRA takes one draw per bitline, in bitline order, and
-//! flips the bitlines whose draw falls below the threshold. Drawn one after
-//! another, every draw waits on the state update before it, so a 1 KB row
-//! is 8,192 dependent steps. The state update is linear over GF(2): it is a
-//! 64×64 bit matrix `T`, and `T^k` moves a state exactly `k` draws ahead.
-//! Each group of [`GROUP_BITS`] = 8,192 bitlines is split into `C` equal
-//! segments, one per chain; chain `c` starts at `T^(8192/C)` applied `c`
-//! times to the group's start state, and the chains draw interleaved, so
-//! the CPU overlaps their dependency chains (and, with SIMD, runs them in
-//! vector lanes). Each bitline still gets the draw the sequential stream
-//! gives it, and the state after the group is the last chain's end state,
-//! so the flips and the RNG end state are exactly those of the sequential
-//! loop. Bitlines past the last whole group draw sequentially.
+//! Each bitline of a fault-armed TRA flips independently with probability
+//! `p = threshold / 2^64`. Instead of one draw per bitline, the stream
+//! draws the *gap* `G ~ Geometric(p)` to the next flip (`P(G = k) = q^k p`,
+//! `q = 1 − p`). A subarray keeps its pending gap from one armed TRA to the
+//! next. A bitline with no pending gap first draws one; a bitline whose gap
+//! is 0 flips and draws the next gap; any other counts the gap down. The
+//! bit-serial reference takes these steps bitline by bitline
+//! ([`FaultGaps::flips_next`]), the word kernel a whole gap at a time
+//! ([`FaultGaps::inject`]): same draws, same flips, same state. A threshold
+//! change or a reseed drops the pending gap, which memorylessness makes
+//! exact.
 //!
-//! One generic group body is compiled three times: with 16 chains under
-//! AVX-512F/DQ/VL (`vpmullq` multiplies 8 lanes at a time), with 8 chains
-//! under AVX2, and with 4 chains for any CPU. The widest version the CPU
-//! runs is picked once per process ([`fault_draw_kernel`] names it); the
-//! flips do not depend on the pick.
-
-use std::sync::OnceLock;
+//! **Drawing a gap.** With `r_j = q^(2^j)`, `P(G = k) = p · Π_j r_j^(k_j)` and
+//! `Π_j (1 + r_j) = 1/p`, so the binary digits of `G` are independent and
+//! digit `j` is 1 with odds `r_j / (1 + r_j)`. A gap takes one draw per
+//! digit, from digit 0 up, and sets digit `j` when the draw falls below
+//! `t_j = ⌊2^64 · r_j / (1 + r_j)⌋`; the table ends before its first zero,
+//! about `log2(44 / −ln q)` digits (19 at 0.01 %, 7 at 26 %, none when `p`
+//! rounds to 1). Digits past 63 do not fit a `u64`: when all 64 thresholds
+//! are nonzero (`p` below about 2^-57), a 65th draw below
+//! `⌊2^64 · q^(2^64)⌋` saturates the gap at `u64::MAX`. The table uses
+//! IEEE `+ − × ÷` only, so every platform builds the same one:
+//! `c_0 = p`, `c_{j+1} = c_j (2 − c_j)`, `r_j = 1 − c_j` (exact to about
+//! 2^-53, so digits rarer than that also end the table).
 
 use crate::bitrow::BitRow;
 
 /// The xorshift64\* output multiplier (Vigna).
 const MULTIPLIER: u64 = 0x2545_f491_4f6c_dd1d;
 
-/// Bitlines per group, whatever the chain count: 8,192, a 1 KB row.
-const GROUP_BITS: usize = 8192;
+/// 2^64, the scale of a draw and of a threshold.
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
 
-const GROUP_WORDS: usize = GROUP_BITS / 64;
-
-/// One xorshift64 state update (the linear part of xorshift64\*).
-const fn step(mut x: u64) -> u64 {
+/// One xorshift64\* draw: the stream shared by tie-breaking and fault
+/// injection.
+pub(crate) fn next_u64(state: &mut u64) -> u64 {
+    let mut x = *state;
     x ^= x >> 12;
     x ^= x << 25;
     x ^= x >> 27;
-    x
+    *state = x;
+    x.wrapping_mul(MULTIPLIER)
 }
 
-/// `m · x` over GF(2), with `m` given by its 64 columns.
-const fn apply(m: &[u64; 64], x: u64) -> u64 {
-    let mut acc = 0;
-    let mut i = 0;
-    while i < 64 {
-        acc ^= m[i] & (x >> i & 1).wrapping_neg();
-        i += 1;
+/// The per-digit thresholds of a gap at `threshold` (see the module docs):
+/// empty when every gap is 0 (`p` rounds to 1) and when `threshold` is 0.
+fn digit_thresholds(threshold: u64) -> Vec<u64> {
+    let mut digits = Vec::new();
+    if threshold == 0 {
+        return digits;
     }
-    acc
-}
-
-/// The columns of `T^steps`: the one-step matrix squared `log2(steps)`
-/// times.
-const fn jump_matrix(steps: usize) -> [u64; 64] {
-    assert!(steps.is_power_of_two());
-    let mut m = [0u64; 64];
-    let mut i = 0;
-    while i < 64 {
-        m[i] = step(1 << i);
-        i += 1;
-    }
-    let mut done = 1;
-    while done < steps {
-        let prev = m;
-        let mut i = 0;
-        while i < 64 {
-            m[i] = apply(&prev, prev[i]);
-            i += 1;
+    let mut c = threshold as f64 / TWO_POW_64;
+    for j in 0..=64 {
+        let r = 1.0 - c;
+        // Digit 64 stands for every digit past 63: the gap is at least
+        // 2^64 with probability q^(2^64) = r_64.
+        let odds = if j < 64 { r / (1.0 + r) } else { r };
+        let t = (odds * TWO_POW_64) as u64;
+        if t == 0 {
+            break;
         }
-        done *= 2;
+        digits.push(t);
+        c *= 2.0 - c;
     }
-    m
+    digits
 }
 
-/// The segment layout of a group drawn in `C` chains.
-struct Chains<const C: usize>;
-
-impl<const C: usize> Chains<C> {
-    /// Bitlines per chain segment: whole words, and a power of two so
-    /// [`jump_matrix`] builds its jump by repeated squaring.
-    const SEGMENT_BITS: usize = {
-        assert!(C > 0 && GROUP_BITS.is_multiple_of(C * 64));
-        GROUP_BITS / C
-    };
-
-    const SEGMENT_WORDS: usize = Self::SEGMENT_BITS / 64;
-
-    /// Moves an xorshift64 state [`Self::SEGMENT_BITS`] draws ahead.
-    const JUMP: [u64; 64] = jump_matrix(Self::SEGMENT_BITS);
+/// A subarray's transient TRA fault state: the threshold, its gap digit
+/// table, and the pending gap.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FaultGaps {
+    /// Per-bitline flip probability, in units of 2^-64; 0 disarms.
+    threshold: u64,
+    /// [`digit_thresholds`] of `threshold`.
+    digits: Vec<u64>,
+    /// Armed bitlines left before the next flip; `None` until the next
+    /// armed bitline draws one.
+    pending: Option<u64>,
 }
 
-/// Takes one draw from `state` and returns its flip flag in bit 63, so
-/// `acc >> 1 | flag` packs successive flags with constant shifts.
-#[inline(always)]
-fn draw_flag(state: &mut u64, threshold: u64) -> u64 {
-    *state = step(*state);
-    u64::from(state.wrapping_mul(MULTIPLIER) < threshold) << 63
-}
-
-/// Draws `lanes` flags from `state` one after another and packs them
-/// into a flip mask, the first draw at bit 0.
-fn draw_word(state: &mut u64, threshold: u64, lanes: usize) -> u64 {
-    let mut acc = 0u64;
-    for _ in 0..lanes {
-        acc = acc >> 1 | draw_flag(state, threshold);
+impl FaultGaps {
+    /// The per-bitline flip probability, in units of 2^-64.
+    pub(crate) fn threshold(&self) -> u64 {
+        self.threshold
     }
-    acc >> (64 - lanes)
-}
 
-/// XORs the flip masks of one whole group into `words` from the start
-/// state `state` in `C` chains, and returns the state after the group.
-/// Inlined into each target-feature version, which compiles it for that
-/// feature set.
-#[inline(always)]
-fn draw_group<const C: usize>(state: u64, threshold: u64, words: &mut [u64]) -> u64 {
-    let segment_words = Chains::<C>::SEGMENT_WORDS;
-    let mut chains = [state; C];
-    for c in 1..C {
-        chains[c] = apply(&Chains::<C>::JUMP, chains[c - 1]);
+    /// Sets the threshold; a change rebuilds the digit table and drops the
+    /// pending gap.
+    pub(crate) fn set_threshold(&mut self, threshold: u64) {
+        if threshold != self.threshold {
+            self.threshold = threshold;
+            self.digits = digit_thresholds(threshold);
+            self.pending = None;
+        }
     }
-    for w in 0..segment_words {
-        let mut masks = [0u64; C];
-        for _ in 0..64 {
-            for (x, acc) in chains.iter_mut().zip(&mut masks) {
-                *acc = *acc >> 1 | draw_flag(x, threshold);
+
+    /// Drops the pending gap: the next armed bitline draws a fresh one.
+    pub(crate) fn drop_pending(&mut self) {
+        self.pending = None;
+    }
+
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> Option<u64> {
+        self.pending
+    }
+
+    fn draw_gap(&self, state: &mut u64) -> u64 {
+        let mut gap = 0;
+        for (j, &t) in self.digits.iter().enumerate() {
+            if next_u64(state) < t {
+                // Digit 64 saturates the gap (`checked_shl` fails there).
+                gap |= 1u64.checked_shl(j as u32).unwrap_or(u64::MAX);
             }
         }
-        for (c, mask) in masks.into_iter().enumerate() {
-            words[c * segment_words + w] ^= mask;
+        gap
+    }
+
+    /// One armed bitline of the bit-serial path: whether it flips. Takes
+    /// no draw while disarmed.
+    pub(crate) fn flips_next(&mut self, state: &mut u64) -> bool {
+        if self.threshold == 0 {
+            return false;
+        }
+        let gap = self.pending.unwrap_or_else(|| self.draw_gap(state));
+        if gap == 0 {
+            self.pending = Some(self.draw_gap(state));
+            true
+        } else {
+            self.pending = Some(gap - 1);
+            false
         }
     }
-    chains[C - 1]
-}
 
-/// 16 chains, two 512-bit vectors of 8 states each.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-fn draw_group_avx512(state: u64, threshold: u64, words: &mut [u64]) -> u64 {
-    draw_group::<16>(state, threshold, words)
-}
-
-/// 8 chains, two 256-bit vectors of 4 states each.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn draw_group_avx2(state: u64, threshold: u64, words: &mut [u64]) -> u64 {
-    draw_group::<8>(state, threshold, words)
-}
-
-/// 4 scalar chains, for any CPU.
-fn draw_group_portable(state: u64, threshold: u64, words: &mut [u64]) -> u64 {
-    draw_group::<4>(state, threshold, words)
-}
-
-/// One compiled version of the group draw and the name it reports.
-#[derive(Clone, Copy)]
-struct DrawKernel {
-    name: &'static str,
-    /// An `unsafe fn` because a target-feature version may only run on a
-    /// CPU with that feature; [`DrawKernel::available`] builds one only
-    /// after detecting it.
-    group: unsafe fn(u64, u64, &mut [u64]) -> u64,
-}
-
-impl DrawKernel {
-    /// The versions this CPU runs, widest first; the portable one is
-    /// always there, last.
-    fn available() -> Vec<DrawKernel> {
-        let mut kernels = Vec::new();
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx512f")
-                && is_x86_feature_detected!("avx512dq")
-                && is_x86_feature_detected!("avx512vl")
-            {
-                kernels.push(DrawKernel { name: "avx512", group: draw_group_avx512 });
-            }
-            if is_x86_feature_detected!("avx2") {
-                kernels.push(DrawKernel { name: "avx2", group: draw_group_avx2 });
-            }
+    /// Flips the bitlines of `row` that [`flips_next`](Self::flips_next)
+    /// would flip walking it bitline by bitline, taking the same draws,
+    /// one gap at a time. Takes no draw while disarmed.
+    pub(crate) fn inject(&mut self, state: &mut u64, row: &mut BitRow) {
+        let mut left = row.len() as u64;
+        if self.threshold == 0 || left == 0 {
+            return;
         }
-        kernels.push(DrawKernel { name: "portable", group: draw_group_portable });
-        kernels
-    }
-
-    /// The widest version this CPU runs, detected once per process.
-    fn detected() -> DrawKernel {
-        static KERNEL: OnceLock<DrawKernel> = OnceLock::new();
-        *KERNEL.get_or_init(|| DrawKernel::available()[0])
-    }
-
-    #[allow(unsafe_code)]
-    fn draw_group(self, state: u64, threshold: u64, words: &mut [u64]) -> u64 {
-        // SAFETY: `group` is a target-feature function only in a kernel
-        // built by `available`, which builds one only after
-        // `is_x86_feature_detected!` found that feature on this CPU; the
-        // portable version has no requirement.
-        unsafe { (self.group)(state, threshold, words) }
-    }
-}
-
-/// The fault-draw version this process runs: `"avx512"` (16 chains),
-/// `"avx2"` (8 chains) or `"portable"` (4 chains). Every version draws
-/// the same flips; only the speed differs.
-pub fn fault_draw_kernel() -> &'static str {
-    DrawKernel::detected().name
-}
-
-/// Flips each bitline of `row` whose draw from `state` falls below
-/// `threshold`: one draw per bitline, in bitline order, leaving `state`
-/// where the sequential stream would.
-pub(crate) fn inject_flips(state: &mut u64, threshold: u64, row: &mut BitRow) {
-    inject_flips_with(DrawKernel::detected(), state, threshold, row);
-}
-
-fn inject_flips_with(kernel: DrawKernel, state: &mut u64, threshold: u64, row: &mut BitRow) {
-    let len = row.len();
-    let group_words = len / GROUP_BITS * GROUP_WORDS;
-    let (groups, tail) = row.words_mut().split_at_mut(group_words);
-    for group in groups.chunks_exact_mut(GROUP_WORDS) {
-        *state = kernel.draw_group(*state, threshold, group);
-    }
-    let mut left = len - group_words * 64;
-    for word in tail {
-        let lanes = left.min(64);
-        *word ^= draw_word(state, threshold, lanes);
-        left -= lanes;
+        let words = row.words_mut();
+        let mut at = 0;
+        let mut gap = self.pending.unwrap_or_else(|| self.draw_gap(state));
+        while gap < left {
+            at += gap as usize;
+            words[at / 64] ^= 1 << (at % 64);
+            at += 1;
+            left -= gap + 1;
+            gap = self.draw_gap(state);
+        }
+        self.pending = Some(gap - left);
     }
 }
 
@@ -234,90 +160,104 @@ fn inject_flips_with(kernel: DrawKernel, state: &mut u64, threshold: u64, row: &
 mod tests {
     use super::*;
 
-    /// The row widths of `tests/prop_hotpath_equivalence.rs`: no group,
-    /// one word, a masked partial word, one bitline short of a group, one
-    /// group, a group plus one bitline, a group plus a masked two-word
-    /// tail, and eight groups.
-    const WIDTHS: [usize; 8] = [1, 64, 130, 8191, 8192, 8193, 8192 + 130, 65536];
+    /// The default seed of a subarray's stream.
+    const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
-    const STATES: [u64; 4] = [1, 0x0123_4567_89ab_cdef, 0x8000_0000_0000_0000, u64::MAX];
-
-    /// From one flip in 2^64 up to one in four; `u64::MAX / 3448` is about
-    /// the 0.029 % rate of the fault-campaign tests.
-    const THRESHOLDS: [u64; 5] = [1, 1 << 20, u64::MAX / 3448, 1 << 58, u64::MAX / 4];
-
-    /// The one-draw-at-a-time loop: the flip mask of a zeroed `len`-bit
-    /// row and the end state.
-    fn sequential(mut state: u64, threshold: u64, len: usize) -> (BitRow, u64) {
-        let mut row = BitRow::zeros(len);
-        for i in 0..len {
-            state = step(state);
-            if state.wrapping_mul(MULTIPLIER) < threshold {
-                row.set(i, true);
-            }
-        }
-        (row, state)
+    fn armed(threshold: u64) -> FaultGaps {
+        let mut gaps = FaultGaps::default();
+        gaps.set_threshold(threshold);
+        gaps
     }
 
-    /// Checks `inject_flips_with` against [`sequential`] at every width,
-    /// start state and threshold, with `kernel` drawing each whole group.
-    fn check_against_sequential(kernel: DrawKernel) {
-        let name = kernel.name;
-        for len in WIDTHS {
-            for start in STATES {
-                for threshold in THRESHOLDS {
-                    let (want, want_state) = sequential(start, threshold, len);
-                    let mut row = BitRow::zeros(len);
-                    let mut state = start;
-                    inject_flips_with(kernel, &mut state, threshold, &mut row);
-                    let at = format!("{name}: {len} bits from {start:#x} at {threshold:#x}");
-                    assert!(row == want, "flips differ, {at}");
-                    assert_eq!(state, want_state, "end state differs, {at}");
-                }
-            }
+    /// Flip masks of `rows` consecutive armed TRAs of `len` bitlines at
+    /// rate `p`, drawn by the word kernel from one stream.
+    fn flip_rows(p: f64, len: usize, rows: usize, seed: u64) -> Vec<BitRow> {
+        let (mut gaps, mut state) = (armed((p * TWO_POW_64) as u64), seed);
+        let mut row = || {
+            let mut row = BitRow::zeros(len);
+            gaps.inject(&mut state, &mut row);
+            row
+        };
+        (0..rows).map(|_| row()).collect()
+    }
+
+    fn assert_within_5_sigma(got: f64, want: f64, sigma: f64, what: &str) {
+        assert!((got - want).abs() <= 5.0 * sigma, "{what}: {got}, want {want} ± 5 × {sigma}");
+    }
+
+    #[test]
+    fn flip_counts_have_the_binomial_mean_and_variance() {
+        let (len, rows) = (4096, 2000);
+        for (p, seed) in [(1e-3, 1), (0.01, 2), (0.26, 3)] {
+            let counts: Vec<f64> =
+                flip_rows(p, len, rows, seed).iter().map(|r| r.count_ones() as f64).collect();
+            let n = rows as f64;
+            let mean = counts.iter().sum::<f64>() / n;
+            let var = counts.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / (n - 1.0);
+            let want = len as f64 * p * (1.0 - p);
+            assert_within_5_sigma(mean, len as f64 * p, (want / n).sqrt(), &format!("mean at {p}"));
+            // A near-normal sample variance has standard error σ² · √(2 / (n − 1)).
+            let sigma = want * (2.0 / (n - 1.0)).sqrt();
+            assert_within_5_sigma(var, want, sigma, &format!("variance at {p}"));
         }
     }
 
     #[test]
-    fn every_version_this_cpu_runs_draws_the_sequential_stream() {
-        let kernels = DrawKernel::available();
-        assert_eq!(kernels.last().map(|k| k.name), Some("portable"));
-        for kernel in kernels {
-            check_against_sequential(kernel);
+    fn consecutive_tras_coincide_at_p_squared_and_p_cubed() {
+        // The gap carried from one TRA to the next must not correlate their
+        // flips: same-bitline flips in 2 (3) consecutive TRAs have odds p² (p³).
+        let (len, rows, p) = (4096, 3000, 0.05);
+        let f = flip_rows(p, len, rows, 7);
+        let pairs: usize = f.windows(2).map(|w| w[0].and(&w[1]).count_ones()).sum();
+        let triples: usize = f.windows(3).map(|w| w[0].and(&w[1]).and(&w[2]).count_ones()).sum();
+        for (got, k) in [(pairs, 2), (triples, 3)] {
+            let want = (len * (rows + 1 - k)) as f64 * p.powi(k as i32);
+            // Windows overlap, so take twice the Poisson variance.
+            assert_within_5_sigma(got as f64, want, (2.0 * want).sqrt(), &format!("p^{k}"));
         }
     }
 
     #[test]
-    fn every_chain_count_draws_the_sequential_stream_without_target_features() {
-        check_against_sequential(DrawKernel { name: "4 chains", group: draw_group::<4> });
-        check_against_sequential(DrawKernel { name: "8 chains", group: draw_group::<8> });
-        check_against_sequential(DrawKernel { name: "16 chains", group: draw_group::<16> });
-    }
-
-    #[test]
-    fn the_widest_available_version_is_the_detected_one() {
-        let name = fault_draw_kernel();
-        assert!(["avx512", "avx2", "portable"].contains(&name), "{name}");
-        assert_eq!(name, DrawKernel::available()[0].name);
-    }
-
-    fn check_jump<const C: usize>() {
-        let mut seed = 0x0123_4567_89ab_cdef_u64;
-        for _ in 0..8 {
-            seed = step(seed);
-            let mut x = seed;
-            for _ in 0..Chains::<C>::SEGMENT_BITS {
-                x = step(x);
-            }
-            assert_eq!(apply(&Chains::<C>::JUMP, seed), x, "{C} chains, from {seed:#x}");
+    fn flip_positions_are_uniform_over_the_row() {
+        // Chi-square over 16 slices of the row, and the first and last
+        // bitline on their own: a gap miscounted at the row edge moves
+        // flips into or out of them.
+        let (len, rows, p) = (1024, 4000, 0.02);
+        let f = flip_rows(p, len, rows, 11);
+        let mut slices = [0usize; 16];
+        f.iter().flat_map(BitRow::iter_ones).for_each(|bit| slices[bit * 16 / len] += 1);
+        let want = (rows * len / 16) as f64 * p;
+        let chi2: f64 = slices.iter().map(|&s| (s as f64 - want).powi(2) / want).sum();
+        // 15 degrees of freedom: P(χ² > 40) is about 5 · 10^-4.
+        assert!(chi2 < 40.0, "chi-square {chi2} over {slices:?}");
+        for bit in [0, len - 1] {
+            let got = f.iter().filter(|r| r.get(bit)).count() as f64;
+            let sigma = (rows as f64 * p * (1.0 - p)).sqrt();
+            assert_within_5_sigma(got, rows as f64 * p, sigma, &format!("bitline {bit}"));
         }
-        assert_eq!(apply(&Chains::<C>::JUMP, 0), 0, "zero stays absorbing");
     }
 
     #[test]
-    fn each_jump_equals_a_segment_of_single_steps() {
-        check_jump::<4>();
-        check_jump::<8>();
-        check_jump::<16>();
+    fn the_smallest_and_largest_thresholds() {
+        // 0 takes no draw and flips nothing; u64::MAX rounds p to 1, so
+        // every gap is 0 without a draw.
+        for (threshold, flips) in [(0, 0), (u64::MAX, 130)] {
+            let (mut gaps, mut state, mut row) = (armed(threshold), SEED, BitRow::zeros(130));
+            gaps.inject(&mut state, &mut row);
+            assert_eq!(row.count_ones(), flips);
+            assert_eq!(gaps.flips_next(&mut state), flips > 0);
+            assert_eq!(state, SEED, "threshold {threshold:#x} leaves the stream untouched");
+        }
+    }
+
+    #[test]
+    fn digit_tables_end_where_the_rate_says() {
+        // About log2(44 / −ln q) digits: 19 at 0.01 %, 7 at 26 %; the
+        // smallest threshold needs every digit and the saturating one.
+        let len = |p: f64| digit_thresholds((p * TWO_POW_64) as u64).len();
+        assert_eq!((len(1e-4), len(0.26), digit_thresholds(1).len()), (19, 7, 65));
+        for digits in [1, 1 << 20, u64::MAX / 4].map(digit_thresholds) {
+            assert!(digits[..digits.len().min(64)].windows(2).all(|w| w[0] >= w[1]));
+        }
     }
 }

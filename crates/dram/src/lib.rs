@@ -38,8 +38,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
 
 mod bank;
@@ -68,7 +67,6 @@ pub use controller::{
 pub use device::DramDevice;
 pub use energy::{EnergyAccount, EnergyModel};
 pub use error::{DramError, Result};
-pub use fault_rng::fault_draw_kernel;
 pub use geometry::{BankId, DramGeometry, RowLocation};
 pub use scheduler::{Completion, FrFcfsScheduler, MemoryRequest, ScheduleStats};
 pub use refresh::{refreshed_throughput, RefreshParams, RefreshScheduler};

@@ -32,7 +32,7 @@ use ambit_telemetry::Counter;
 
 use crate::bitrow::BitRow;
 use crate::error::{DramError, Result};
-use crate::fault_rng;
+use crate::fault_rng::{self, FaultGaps};
 
 /// Which side of the sense amplifier a wordline connects its cells to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,8 +127,8 @@ pub struct SubarrayStats {
     /// fast path (64 bitlines per u64 operation).
     pub word_parallel_charge_shares: u64,
     /// Multi-row charge shares on the path that consumes the fault RNG:
-    /// every fault-armed TRA (resolved by the word kernel plus a per-bitline
-    /// flip draw), and every charge share the bit-serial scalar reference
+    /// every fault-armed TRA (resolved by the word kernel plus the fault
+    /// gap draws), and every charge share the bit-serial scalar reference
     /// resolves (non-TRA arities, forced-scalar mode).
     pub scalar_charge_shares: u64,
     /// Row buffers the command path filled with a new value: charge-share
@@ -284,9 +284,10 @@ pub struct Subarray {
     /// Row remapping (logical → physical) installed by post-test repair;
     /// identity unless a spare-row remap was installed.
     row_map: Vec<usize>,
-    /// Per-bitline transient TRA failure probability (from the circuit
-    /// model's Monte Carlo), in units of 2^-64.
-    tra_fault_threshold: u64,
+    /// Transient TRA faults: the per-bitline failure probability (from the
+    /// circuit model's Monte Carlo) and the pending gap to the next flip
+    /// (see `fault_rng`).
+    tra_faults: FaultGaps,
     /// When set, every multi-row charge share takes the bit-serial scalar
     /// reference path even if the word-parallel fast path would apply.
     force_scalar: bool,
@@ -320,7 +321,7 @@ impl Subarray {
             stats: SubarrayStats::default(),
             faults: BTreeMap::new(),
             row_map: (0..rows).collect(),
-            tra_fault_threshold: 0,
+            tra_faults: FaultGaps::default(),
             force_scalar: false,
             zeros: Arc::new(BitRow::zeros(bits)),
             spares: Vec::new(),
@@ -454,7 +455,8 @@ impl Subarray {
 
     /// Sets the per-bitline probability that a multi-row activation senses
     /// the wrong value (transient TRA faults; feed this from
-    /// `ambit_circuit`'s Monte Carlo failure rate). 0.0 disables.
+    /// `ambit_circuit`'s Monte Carlo failure rate). 0.0 disables. A new
+    /// rate drops the pending fault gap; the same rate again keeps it.
     ///
     /// # Errors
     ///
@@ -464,13 +466,13 @@ impl Subarray {
         if !(0.0..=1.0).contains(&rate) {
             return Err(DramError::invalid_fault_rate(rate));
         }
-        self.tra_fault_threshold = (rate * u64::MAX as f64) as u64;
+        self.tra_faults.set_threshold((rate * u64::MAX as f64) as u64);
         Ok(())
     }
 
     /// The configured transient TRA fault probability.
     pub fn tra_fault_rate(&self) -> f64 {
-        self.tra_fault_threshold as f64 / u64::MAX as f64
+        self.tra_faults.threshold() as f64 / u64::MAX as f64
     }
 
     /// Mixes `salt` into the tie/fault RNG seed, decorrelating this
@@ -478,12 +480,14 @@ impl Subarray {
     /// subarrays must not share a fault stream: with identical streams, a
     /// transient TRA fault hits every TMR replica at the same bit in the
     /// same cycle, so majority voting silently agrees on the corrupted
-    /// value. Salt 0 keeps the documented default stream (the one the
-    /// reference-RNG equivalence tests replay).
+    /// value. A reseed also drops the pending fault gap (exact: gaps are
+    /// memoryless). Salt 0 changes nothing: it keeps the documented default
+    /// stream (the one the reference-RNG equivalence tests replay).
     pub fn reseed_rng(&mut self, salt: u64) {
         if salt == 0 {
             return;
         }
+        self.tra_faults.drop_pending();
         // splitmix64 finalizer: full-avalanche mixing so consecutive salts
         // yield unrelated xorshift64* start states.
         let mut z = salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -816,15 +820,12 @@ impl Subarray {
     /// takes the word-parallel kernel (64 bitlines per u64 operation) unless
     /// the scalar reference is forced. A tie is impossible at arity 3, so
     /// the majority itself draws nothing from the RNG. When transient fault
-    /// injection is armed (`tra_fault_threshold > 0`), the kernel's result
-    /// then takes one draw of the `next_rng_u64` stream per bitline, in
-    /// bitline order, XOR-ed in as a 64-bit flip mask per word: exactly
-    /// the draws, in exactly the order, the bit-serial loop makes, so both
-    /// paths sense the same row and leave the same RNG state. The draws
-    /// are computed in interleaved jump-ahead chains per 8,192 bitlines,
-    /// 16, 8 or 4 of them as the CPU allows (see `inject_tra_faults`).
-    /// The bit-serial loop stays as the reference for forced-scalar mode,
-    /// every other arity, and ties.
+    /// injection is armed, the kernel's result then flips the bitlines the
+    /// subarray's fault gaps land on (see `inject_tra_faults`): the
+    /// bitlines, the draws and the pending gap the bit-serial loop's
+    /// per-bitline fault check gives, so both paths sense the same row and
+    /// leave the same RNG state. The bit-serial loop stays as the reference
+    /// for forced-scalar mode, every other arity, and ties.
     ///
     /// Armed TRAs count under [`SubarrayStats::scalar_charge_shares`]
     /// (telemetry `path="scalar"`), the path that consumes the fault RNG,
@@ -842,7 +843,7 @@ impl Subarray {
         if wordlines.len() == 3 && !self.force_scalar {
             let mut sense = self.fresh_row();
             self.charge_share_tra_word_parallel(wordlines, Arc::make_mut(&mut sense));
-            if self.tra_fault_threshold == 0 {
+            if self.tra_faults.threshold() == 0 {
                 self.stats.word_parallel_charge_shares += 1;
                 if let Some(c) = &self.word_parallel_counter {
                     c.inc();
@@ -866,18 +867,14 @@ impl Subarray {
         }
     }
 
-    /// Transient TRA fault injection on a word-parallel sense row: one RNG
-    /// draw per bitline, in bitline order, flips that bitline when it
-    /// falls below the threshold — the bit-serial loop's stream, applied
-    /// 64 bitlines per XOR. The draws are computed in jump-ahead chains
-    /// per 8,192 bitlines: 16 in AVX-512 vector lanes, 8 under AVX2, or 4
-    /// scalar chains on other CPUs (see `fault_rng`). Every layout yields
-    /// the same flips and the same end state as drawing them one after
-    /// another. Kept out of line so the fault-free activation path
-    /// compiles without it.
+    /// Transient TRA fault injection on a word-parallel sense row: skips
+    /// the pending gap, flips the bitline it lands on, draws the next gap,
+    /// and so on; the rest of the last gap carries over to the next armed
+    /// TRA (see `fault_rng`). At 0.01 % that is about 20 draws per 8,192
+    /// bitlines. Kept out of line so the fault-free path compiles without it.
     #[inline(never)]
     fn inject_tra_faults(&mut self, sense: &mut BitRow) {
-        fault_rng::inject_flips(&mut self.tie_rng, self.tra_fault_threshold, sense);
+        self.tra_faults.inject(&mut self.tie_rng, sense);
     }
 
     /// Word-parallel TRA charge share: the sensed row is the majority of
@@ -937,7 +934,9 @@ impl Subarray {
             };
             // Transient TRA fault injection: with the configured
             // probability, process variation flips this bitline's outcome.
-            if self.tra_fault_threshold > 0 && self.next_rng_u64() < self.tra_fault_threshold {
+            // The check counts down the pending fault gap (no draw unless
+            // a gap runs out), after this bitline's tie draw.
+            if self.tra_faults.flips_next(&mut self.tie_rng) {
                 sensed = !sensed;
             }
             result.set(bit, sensed);
@@ -998,19 +997,10 @@ impl Subarray {
         Ok(())
     }
 
-    fn next_rng_u64(&mut self) -> u64 {
+    fn next_tie_bit(&mut self) -> bool {
         // xorshift64*: deterministic, clonable randomness stream shared by
         // tie-breaking and fault injection.
-        let mut x = self.tie_rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.tie_rng = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn next_tie_bit(&mut self) -> bool {
-        self.next_rng_u64() >> 63 & 1 == 1
+        fault_rng::next_u64(&mut self.tie_rng) >> 63 & 1 == 1
     }
 }
 
@@ -1172,6 +1162,27 @@ mod tests {
                 .clone()
         };
         assert_eq!(mk(), mk());
+    }
+
+    #[test]
+    fn a_rate_change_or_reseed_drops_the_pending_fault_gap() {
+        fn tra(sa: &mut Subarray, rate: f64) -> Option<u64> {
+            sa.set_tra_fault_rate(rate).unwrap();
+            sa.activate(&[Wordline::data(0), Wordline::data(1), Wordline::data(2)]).unwrap();
+            sa.precharge().unwrap();
+            sa.tra_faults.pending()
+        }
+        let mut sa = Subarray::new(8, 64);
+        let pending = tra(&mut sa, 0.001);
+        assert!(pending.is_some(), "an armed TRA leaves a gap pending");
+        sa.set_tra_fault_rate(0.001).unwrap();
+        sa.reseed_rng(0);
+        assert_eq!(sa.tra_faults.pending(), pending, "the same rate and salt 0 keep it");
+        sa.set_tra_fault_rate(0.002).unwrap();
+        assert_eq!(sa.tra_faults.pending(), None, "a new rate drops it");
+        tra(&mut sa, 0.002);
+        sa.reseed_rng(5);
+        assert_eq!(sa.tra_faults.pending(), None, "a reseed drops it");
     }
 
     #[test]

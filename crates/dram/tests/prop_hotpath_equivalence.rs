@@ -3,14 +3,12 @@
 //! The 3-row TRA fast path must be byte-identical to the retained bit-serial
 //! scalar reference (`Subarray::set_scalar_reference`) across arbitrary row
 //! contents, bitline/bitline-bar side mixes, and every `TieBreak` policy.
-//! Fault-armed subarrays run the same word kernel and then draw one fault
-//! value per bitline, in bitline order: the flip stream must replay the
-//! documented reference RNG exactly, and a fault-armed fast-path subarray
-//! must stay in lockstep with a fault-armed forced-scalar one — same sense,
-//! same rows, same RNG state — across consecutive TRAs. The armed tests
-//! run at widths from one bitline to 65,536, on both sides of the
-//! 8,192-bitline groups whose draws the fast path computes in jump-ahead
-//! chains. `PROPTEST_CASES` sets the case count (default 96).
+//! Fault-armed subarrays run the same word kernel and then flip the
+//! bitlines their fault gaps land on: the flips must replay a bit-serial
+//! model of the documented gap stream, and the fast path must stay in
+//! lockstep with the forced-scalar one (same sense, rows and RNG state)
+//! across consecutive TRAs and rate changes, at widths from one bitline to
+//! 65,536. `PROPTEST_CASES` sets the case count (default 96).
 
 use ambit_conformance::ReferenceRng;
 use ambit_dram::{BitRow, BitlineSide, CellFault, Subarray, TieBreak, Wordline};
@@ -68,13 +66,10 @@ fn assert_tra_equivalent(
     Ok(())
 }
 
-/// Row widths of the fault-armed tests. The fault draws run in chains over
-/// whole groups of 8,192 bitlines (16 segments of 512 bitlines under
-/// AVX-512, 8 of 1,024 under AVX2, 4 of 2,048 otherwise) and one after
-/// another past the last group, so the widths cover rows with no group
-/// (one bitline, one word, a masked partial word, one bitline short of a
-/// group), exactly one group, a group plus one bitline, a group plus a
-/// masked two-word tail, and eight groups (an 8 KB row).
+/// Row widths of the fault-armed tests: one bitline, one word, a masked
+/// partial word, 1 KB rows less one, exact and plus one bitline, a 1 KB
+/// row plus a masked two-word tail, and an 8 KB row. Gaps carry across
+/// every one of these row ends.
 const ARMED_WIDTHS: [usize; 8] = [1, 64, 130, 8191, 8192, 8193, 8192 + 130, 65536];
 
 /// A `len`-bit row of seeded pseudo-random words: cheap at any width.
@@ -92,10 +87,49 @@ fn cases() -> u32 {
         .unwrap_or(96)
 }
 
-// The model's documented RNG (xorshift64* from the fixed seed, one draw per
-// bitline per fault-armed multi-row activation) is `ReferenceRng`, shared
-// from `ambit_conformance`: any change to the draw stream's shape or order
-// fails the replay tests below.
+/// The documented fault-gap stream, one bitline at a time, drawn from the
+/// model's documented RNG (`ReferenceRng`: xorshift64* from the fixed
+/// seed): a bitline with no pending gap draws one; a zero gap flips and
+/// draws the next; any other gap counts down. A gap sets digit j when its
+/// draw falls below `2^64 · r / (1 + r)`, `r = 1 − c_j`, `c_0 = p`,
+/// `c_{j+1} = c_j (2 − c_j)`, up to the first zero; a 65th digit (odds
+/// `r_64`) saturates it.
+struct GapModel {
+    rng: ReferenceRng,
+    digits: Vec<u64>,
+    pending: Option<u64>,
+}
+
+impl GapModel {
+    fn new(threshold: u64) -> GapModel {
+        const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+        let (mut digits, mut c) = (Vec::new(), threshold as f64 / TWO_POW_64);
+        while digits.len() <= 64 {
+            let r = 1.0 - c;
+            let odds = if digits.len() < 64 { r / (1.0 + r) } else { r };
+            match (odds * TWO_POW_64) as u64 {
+                0 => break,
+                t => digits.push(t),
+            }
+            c *= 2.0 - c;
+        }
+        GapModel { rng: ReferenceRng::new(), digits, pending: None }
+    }
+
+    fn gap(&mut self) -> u64 {
+        (0..self.digits.len()).fold(0, |gap, j| match self.rng.next() < self.digits[j] {
+            true if j == 64 => u64::MAX,
+            true => gap | 1 << j,
+            false => gap,
+        })
+    }
+
+    fn flips(&mut self) -> bool {
+        let gap = self.pending.take().unwrap_or_else(|| self.gap());
+        self.pending = Some(if gap == 0 { self.gap() } else { gap - 1 });
+        gap == 0
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
@@ -155,11 +189,11 @@ proptest! {
         rate_millis in 1u32..400,
     ) {
         // A fault-armed subarray must flip exactly the bitlines the
-        // documented per-bit RNG stream dictates — same seed, same flipped
-        // bits, whichever kernel resolves the majority. Bar-side wordlines
-        // and masked tails are both in play. A second TRA must flip what
-        // the stream dictates next, which pins the RNG state the first
-        // one left behind.
+        // documented gap stream dictates — same seed, same flipped bits,
+        // whichever kernel resolves the majority. Bar-side wordlines and
+        // masked tails are both in play. A second TRA must flip what the
+        // stream dictates next, which pins the RNG state and the pending
+        // gap the first one left behind.
         let rate = rate_millis as f64 / 1000.0;
         let threshold = (rate * u64::MAX as f64) as u64;
         let wls = [wordline(0, sa_bar), wordline(1, sb_bar), wordline(2, sc_bar)];
@@ -169,7 +203,7 @@ proptest! {
             sa.poke_row(0, seeded_row(bits, seeds.0));
             sa.poke_row(1, seeded_row(bits, seeds.1));
             sa.poke_row(2, seeded_row(bits, seeds.2));
-            let mut rng = ReferenceRng::new();
+            let mut model = GapModel::new(threshold);
             for round in 0..2 {
                 let inputs: Vec<BitRow> = wls
                     .iter()
@@ -179,7 +213,7 @@ proptest! {
                     })
                     .collect();
                 let clean = BitRow::majority(&inputs[0], &inputs[1], &inputs[2]);
-                let expect = BitRow::from_fn(bits, |i| clean.get(i) ^ (rng.next() < threshold));
+                let expect = BitRow::from_fn(bits, |i| clean.get(i) ^ model.flips());
                 let sensed = sa.activate(&wls).unwrap().clone();
                 sa.precharge().unwrap();
                 prop_assert_eq!(sensed, expect, "{} bits, TRA {}", bits, round);
@@ -249,6 +283,42 @@ proptest! {
             }
             prop_assert_eq!(fast.stats().scalar_charge_shares, 5);
             prop_assert_eq!(fast.stats(), scalar.stats());
+        }
+    }
+
+    #[test]
+    fn armed_paths_stay_in_lockstep_across_rate_changes(
+        seeds in proptest::collection::vec(any::<u64>(), 8),
+        bars in proptest::collection::vec(any::<bool>(), 15),
+        rate_millis in proptest::collection::vec(0u32..400, 5),
+    ) {
+        // Each TRA runs at its own rate (0 disarms, a change drops the
+        // pending gap): the word kernel and the forced-scalar reference
+        // must still sense and store the same rows.
+        for bits in ARMED_WIDTHS {
+            let mk = |force_scalar: bool| {
+                let mut sa = Subarray::new(8, bits);
+                sa.set_scalar_reference(force_scalar);
+                for (r, &seed) in seeds.iter().enumerate() {
+                    sa.poke_row(r, seeded_row(bits, seed));
+                }
+                sa
+            };
+            let mut paths = [mk(false), mk(true)];
+            for (round, &millis) in rate_millis.iter().enumerate() {
+                let wls: Vec<Wordline> =
+                    (0..3).map(|k| wordline((round + 2 * k) % 8, bars[3 * round + k])).collect();
+                let sensed = paths.each_mut().map(|sa| {
+                    sa.set_tra_fault_rate(millis as f64 / 1000.0).unwrap();
+                    let sensed = sa.activate(&wls).unwrap().clone();
+                    sa.precharge().unwrap();
+                    sensed
+                });
+                prop_assert_eq!(&sensed[0], &sensed[1], "TRA {} at {} bits", round, bits);
+                for r in 0..8 {
+                    prop_assert_eq!(paths[0].peek_row(r), paths[1].peek_row(r), "row {}", r);
+                }
+            }
         }
     }
 }

@@ -47,5 +47,5 @@ mod registry;
 mod span;
 
 pub use metrics::{Counter, Gauge, Histogram};
-pub use registry::{HistogramSnapshot, Labels, Registry};
+pub use registry::{HistogramSnapshot, Labels, Registry, TRACE_CAPACITY};
 pub use span::{AttrValue, Event, Span};

@@ -1,5 +1,10 @@
 //! The instrument registry: named, labelled metric families plus the
-//! span/event trace buffer, with Prometheus text and JSONL exporters.
+//! span/event trace rings, with Prometheus text and JSONL exporters.
+//!
+//! The trace keeps the most recent [`TRACE_CAPACITY`] spans and, apart
+//! from them, the most recent [`TRACE_CAPACITY`] events, so a registry
+//! attached to a long run holds bounded memory; every record pushed out
+//! counts in `ambit_telemetry_dropped_total{kind="span"|"event"}`.
 //!
 //! Registration is idempotent — asking for the same `(name, labels)` pair
 //! twice returns a handle to the same underlying series — so components can
@@ -7,6 +12,7 @@
 //! freely. Handles are cheap clones; after registration the hot path only
 //! performs relaxed atomic operations and never takes the registry lock.
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::json;
@@ -54,11 +60,43 @@ struct Family {
     series: Vec<Series>,
 }
 
+/// Spans, and separately events, a registry retains: the most recent
+/// 16,384 of each, a few MB at the executor's span sizes.
+pub const TRACE_CAPACITY: usize = 16_384;
+
+/// The most recent [`TRACE_CAPACITY`] records of one kind, oldest first.
+#[derive(Debug)]
+struct Ring<T> {
+    records: VecDeque<T>,
+    /// Records pushed out of the ring.
+    dropped: Counter,
+}
+
+impl<T> Default for Ring<T> {
+    fn default() -> Self {
+        Ring { records: VecDeque::new(), dropped: Counter::new() }
+    }
+}
+
+impl<T: Clone> Ring<T> {
+    fn push(&mut self, record: T) {
+        if self.records.len() == TRACE_CAPACITY {
+            self.records.pop_front();
+            self.dropped.inc();
+        }
+        self.records.push_back(record);
+    }
+
+    fn to_vec(&self) -> Vec<T> {
+        self.records.iter().cloned().collect()
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     families: Mutex<Vec<Family>>,
-    spans: Mutex<Vec<Span>>,
-    events: Mutex<Vec<Event>>,
+    spans: Mutex<Ring<Span>>,
+    events: Mutex<Ring<Event>>,
 }
 
 /// A frozen view of one histogram series, for tests and snapshot writers.
@@ -88,15 +126,28 @@ pub struct HistogramSnapshot {
 /// let text = reg.render_prometheus();
 /// assert!(text.contains("ambit_acts_total{bank=\"0\"} 3"));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Registry {
     inner: Arc<Inner>,
 }
 
+impl Default for Registry {
+    fn default() -> Self {
+        Registry::new()
+    }
+}
+
 impl Registry {
-    /// An empty registry.
+    /// A registry holding only its own dropped-record counters.
     pub fn new() -> Self {
-        Registry::default()
+        let reg = Registry { inner: Arc::default() };
+        let dropped = |kind| {
+            let help = "Trace records pushed out of the registry's bounded rings";
+            reg.counter("ambit_telemetry_dropped_total", help, &[("kind", kind)])
+        };
+        lock(&reg.inner.spans).dropped = dropped("span");
+        lock(&reg.inner.events).dropped = dropped("event");
+        reg
     }
 
     fn instrument(
@@ -196,25 +247,28 @@ impl Registry {
         }
     }
 
-    /// Records a completed span into the trace buffer.
+    /// Records a completed span into the trace ring, pushing out the
+    /// oldest span once the ring holds [`TRACE_CAPACITY`].
     pub fn record_span(&self, span: Span) {
         lock(&self.inner.spans).push(span);
     }
 
-    /// Records a point-in-time event into the trace buffer.
+    /// Records a point-in-time event into the trace ring, pushing out the
+    /// oldest event once the ring holds [`TRACE_CAPACITY`].
     pub fn record_event(&self, event: Event) {
-        lock(&self.inner.events)
-            .push(event);
+        lock(&self.inner.events).push(event);
     }
 
-    /// All recorded spans, in recording order.
+    /// The retained spans (the most recent [`TRACE_CAPACITY`]), in
+    /// recording order.
     pub fn spans(&self) -> Vec<Span> {
-        lock(&self.inner.spans).clone()
+        lock(&self.inner.spans).to_vec()
     }
 
-    /// All recorded events, in recording order.
+    /// The retained events (the most recent [`TRACE_CAPACITY`]), in
+    /// recording order.
     pub fn events(&self) -> Vec<Event> {
-        lock(&self.inner.events).clone()
+        lock(&self.inner.events).to_vec()
     }
 
     /// Current value of a counter series, if registered.
@@ -353,7 +407,7 @@ impl Registry {
         out
     }
 
-    /// Exports all recorded spans and events as JSON Lines, one record per
+    /// Exports the retained spans and events as JSON Lines, one record per
     /// line, spans first (recording order), then events.
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
@@ -512,6 +566,24 @@ mod tests {
         );
         let event = Json::parse(lines[1]).unwrap();
         assert_eq!(event.get("attrs").unwrap().get("stuck"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn rings_keep_the_most_recent_records_and_count_the_rest() {
+        let reg = Registry::new();
+        let dropped = |kind| reg.counter_value("ambit_telemetry_dropped_total", &[("kind", kind)]);
+        assert_eq!((dropped("span"), dropped("event")), (Some(0), Some(0)));
+        for i in 0..TRACE_CAPACITY as u64 + 5 {
+            reg.record_span(Span::new("op", i, i + 1));
+        }
+        reg.record_event(Event::new("inject", 0));
+        let spans = reg.spans();
+        assert_eq!(spans.len(), TRACE_CAPACITY);
+        assert_eq!(spans[0].start_ns, 5, "the five oldest were dropped");
+        assert_eq!((dropped("span"), dropped("event")), (Some(5), Some(0)));
+        assert_eq!(reg.events().len(), 1);
+        let text = reg.render_prometheus();
+        assert!(text.contains("ambit_telemetry_dropped_total{kind=\"span\"} 5"), "{text}");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use ambit_repro::dram::{
     AapMode, BankId, CampaignConfig, CellFault, DramGeometry, EnergyModel, FaultCampaign,
     TimingParams, DEFAULT_TRACE_CAPACITY,
 };
-use ambit_repro::telemetry::{json::Json, Registry};
+use ambit_repro::telemetry::{json::Json, Registry, TRACE_CAPACITY};
 
 /// Runs one op on a telemetry-instrumented controller at the paper's
 /// Table 3 configuration and returns the metrics-side energy in nJ/KB.
@@ -253,4 +253,33 @@ fn prometheus_and_jsonl_exports_are_well_formed() {
     }
     assert!(spans > 0, "driver and resilient spans recorded");
     assert!(events > 0, "recovery events recorded");
+}
+
+#[test]
+fn a_long_resilient_run_keeps_a_bounded_trace() {
+    // A fault-free resilient executor records the same spans per op, so
+    // a short run measures them; a run past the ring's capacity must then
+    // keep exactly the most recent TRACE_CAPACITY spans and count every
+    // span pushed out.
+    let run = |ops: usize| {
+        let mem = AmbitMemory::new(DramGeometry::tiny(), TimingParams::ddr3_1600(), AapMode::Overlapped);
+        let mut exec = ResilientExecutor::new(mem, ResilientConfig::default());
+        let registry = Registry::new();
+        exec.set_telemetry(registry.clone());
+        let bits = exec.memory().row_bits();
+        let (a, b, out) = (exec.alloc(bits).unwrap(), exec.alloc(bits).unwrap(), exec.alloc(bits).unwrap());
+        for _ in 0..ops {
+            exec.bitwise(BitwiseOp::And, a, Some(b), out).unwrap();
+        }
+        registry
+    };
+    let short = run(10).spans().len();
+    assert!(short > 0 && short.is_multiple_of(10), "{short} spans for 10 ops");
+    let per_op = short / 10;
+    let ops = TRACE_CAPACITY / per_op + 100;
+    let registry = run(ops);
+    let dropped = |kind| registry.counter_value("ambit_telemetry_dropped_total", &[("kind", kind)]);
+    assert_eq!(registry.spans().len(), TRACE_CAPACITY);
+    assert_eq!(dropped("span"), Some((ops * per_op - TRACE_CAPACITY) as u64));
+    assert_eq!(dropped("event"), Some(0), "a fault-free run drops no events");
 }
