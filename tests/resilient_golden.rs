@@ -5,14 +5,15 @@
 //! geometry, including destination-aliased `Or` and in-place `Not`. Every
 //! number the run produces — the cumulative [`RecoveryReport`], the
 //! simulated horizon and energy, and the raw bytes of every replica row,
-//! padding included — is pinned to values recorded from the bit-serial
-//! implementation of the fault-armed data plane and the `Vec<bool>` TMR
-//! voting it replaced. Any change to the fault RNG stream, the retry and
-//! repair decisions, or the padding the recovery writes shows up here.
+//! padding included — is pinned to values recorded with the geometric
+//! fault-gap stream. The replica rows are the ones the CPU model computes,
+//! as they were when every bitline took its own fault draw. Any change to
+//! the fault RNG stream, the retry and repair decisions, or the padding
+//! the recovery writes shows up here.
 //!
 //! A second replay runs a dozen operations on 1 KB rows of the DDR3 module
 //! under the campaign the `resilient_query` benchmark arms, so every TRA
-//! draws a full row's worth of flips; it pins the same numbers, with the
+//! walks a full row of armed bitlines; it pins the same numbers, with the
 //! replica rows folded into one digest.
 
 use ambit_repro::core::{
@@ -201,20 +202,20 @@ fn fault_armed_resilient_run_replays_recorded_outcome() {
         &run_tiny(0.003),
         RecoveryReport {
             ops: 42,
-            faults_detected: 393,
-            retries: 78,
+            faults_detected: 368,
+            retries: 75,
             remaps: 2,
-            scrubs: 200,
+            scrubs: 194,
             cpu_fallbacks: 0,
-            corrected_bits: 104,
-            refreshes: 11,
-            decay_flips: 47,
-            added_latency_ps: 60026250,
-            added_energy_nj: 15641.052000000722,
+            corrected_bits: 117,
+            refreshes: 10,
+            decay_flips: 44,
+            added_latency_ps: 57652500,
+            added_energy_nj: 15058.476000000812,
             degraded: false,
         },
-        86749750,
-        22128.096000001144,
+        84221000,
+        21545.520000001183,
         [
             ONES,
             MIXED,
@@ -222,26 +223,27 @@ fn fault_armed_resilient_run_replays_recorded_outcome() {
             ZEROS,
         ],
     );
-    // 0.4 %: the device degrades during op 23, which completes on the CPU
-    // fallback like the 19 after it; those writes zero the padding.
+    // 1.2 %, above the 0.5 % per-TRA degrade threshold: the device
+    // degrades during op 16, which completes on the CPU fallback like the
+    // 26 after it; those writes zero the padding.
     assert_outcome(
-        &run_tiny(0.004),
+        &run_tiny(0.012),
         RecoveryReport {
             ops: 42,
-            faults_detected: 308,
-            retries: 51,
+            faults_detected: 553,
+            retries: 33,
             remaps: 2,
-            scrubs: 139,
-            cpu_fallbacks: 20,
-            corrected_bits: 88,
-            refreshes: 6,
-            decay_flips: 29,
-            added_latency_ps: 38572500,
-            added_energy_nj: 10093.068000000245,
+            scrubs: 100,
+            cpu_fallbacks: 27,
+            corrected_bits: 120,
+            refreshes: 4,
+            decay_flips: 21,
+            added_latency_ps: 26139750,
+            added_energy_nj: 6849.899999999822,
             degraded: true,
         },
-        53941250,
-        13835.424000000312,
+        36752750,
+        9435.59999999973,
         [ONES, MIXED, MIXED, ZEROS],
     );
 }
@@ -262,7 +264,7 @@ fn benchmark_width_resilient_run_replays_recorded_outcome() {
     // The `resilient_query` chip: 1 KB rows on the DDR3 module, a 0.01 %
     // device-average TRA flip rate spread ±25 % across subarrays, and the
     // campaign's default seed. Each vector spans two rows, so every TRA
-    // draws 8,192 flips.
+    // walks 8,192 armed bitlines.
     let geometry = DramGeometry {
         row_bytes: 1024,
         ..DramGeometry::ddr3_module()
@@ -279,12 +281,12 @@ fn benchmark_width_resilient_run_replays_recorded_outcome() {
         &out,
         RecoveryReport {
             ops: 12,
-            faults_detected: 268,
+            faults_detected: 243,
             retries: 24,
             remaps: 0,
             scrubs: 60,
             cpu_fallbacks: 0,
-            corrected_bits: 67,
+            corrected_bits: 59,
             refreshes: 2,
             decay_flips: 0,
             added_latency_ps: 18994500,

@@ -418,12 +418,14 @@ fn fault_armed_digests(
     (receipts, fnv1a(functional, stats.as_bytes()))
 }
 
-/// Fault-armed batches replay digests recorded from the single-threaded
-/// issue loop that ran every fault-armed batch before the fan-out did.
-/// Each subarray owns its fault RNG stream and each bank is one fan-out
-/// job, so per-bank FIFO order fixes every draw: `Serial`, `BankParallel`
-/// on one thread and `BankParallel` on four give the recorded readback and
-/// device stats, and each policy its recorded receipts.
+/// Fault-armed batches replay recorded digests. The receipts were
+/// recorded from the single-threaded issue loop that ran every fault-armed
+/// batch before the fan-out did; the functional digests from the geometric
+/// fault-gap stream. Each subarray owns its fault RNG stream and pending
+/// gap, and each bank is one fan-out job, so per-bank FIFO order fixes
+/// every draw: `Serial`, `BankParallel` on one thread and `BankParallel`
+/// on four give the recorded readback and device stats, and each policy
+/// its recorded receipts.
 #[test]
 fn fault_armed_batches_replay_recorded_digests() {
     struct Recorded {
@@ -441,7 +443,7 @@ fn fault_armed_batches_replay_recorded_digests() {
             seed: 0x7a51,
             serial: 0x33df_edd4_584b_38af,
             parallel: 0xe7a7_6cb8_d8a5_27ca,
-            functional: 0xd01a_97f0_c9f4_6beb,
+            functional: 0x77cc_3bb8_ca64_81c6,
         },
         Recorded {
             make: tiny,
@@ -449,7 +451,7 @@ fn fault_armed_batches_replay_recorded_digests() {
             seed: 0xfa17,
             serial: 0xcede_8370_05f9_0b9b,
             parallel: 0x98f9_0e48_26fb_7e7e,
-            functional: 0x6782_feea_50ea_5c67,
+            functional: 0x429a_8f81_8cc3_cc05,
         },
         Recorded {
             make: tiny_dual_channel,
@@ -457,7 +459,7 @@ fn fault_armed_batches_replay_recorded_digests() {
             seed: 0x7a51,
             serial: 0x6019_0ea7_1501_89b5,
             parallel: 0x6c4b_374a_9d24_f270,
-            functional: 0x64ab_5d5b_9771_9bd4,
+            functional: 0xb3db_f06c_ea72_83a2,
         },
         Recorded {
             make: tiny_dual_channel,
@@ -465,7 +467,7 @@ fn fault_armed_batches_replay_recorded_digests() {
             seed: 0xfa17,
             serial: 0xe2ad_495f_4adb_161d,
             parallel: 0xa777_338c_f022_2e5c,
-            functional: 0xb342_e744_77b1_27a5,
+            functional: 0x5b0a_a569_7e06_90ab,
         },
     ];
     for r in recorded {
