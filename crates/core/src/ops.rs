@@ -59,7 +59,7 @@ impl BitwiseOp {
     /// Triple-row activations in the operation's Figure 8 program: each
     /// one senses through the majority and may flip a result bit under
     /// transient TRA faults.
-    pub fn tras(&self) -> usize {
+    pub(crate) fn tras(&self) -> usize {
         match self {
             BitwiseOp::And | BitwiseOp::Or | BitwiseOp::Nand | BitwiseOp::Nor => 1,
             BitwiseOp::Xor | BitwiseOp::Xnor => 3,

@@ -262,12 +262,13 @@ fn a_long_resilient_run_keeps_a_bounded_trace() {
     // keep exactly the most recent TRACE_CAPACITY spans and count every
     // span pushed out.
     let run = |ops: usize| {
-        let mem = AmbitMemory::new(DramGeometry::tiny(), TimingParams::ddr3_1600(), AapMode::Overlapped);
+        let geometry = DramGeometry::tiny();
+        let mem = AmbitMemory::new(geometry, TimingParams::ddr3_1600(), AapMode::Overlapped);
         let mut exec = ResilientExecutor::new(mem, ResilientConfig::default());
         let registry = Registry::new();
         exec.set_telemetry(registry.clone());
         let bits = exec.memory().row_bits();
-        let (a, b, out) = (exec.alloc(bits).unwrap(), exec.alloc(bits).unwrap(), exec.alloc(bits).unwrap());
+        let [a, b, out] = [(); 3].map(|_| exec.alloc(bits).unwrap());
         for _ in 0..ops {
             exec.bitwise(BitwiseOp::And, a, Some(b), out).unwrap();
         }
