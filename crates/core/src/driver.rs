@@ -1449,14 +1449,7 @@ impl AmbitMemory {
     ///
     /// Returns an unknown-handle error for stale handles.
     pub fn peek_rows(&self, handle: BitVectorHandle) -> Result<Vec<BitRow>> {
-        let meta = self.meta(handle)?;
-        meta.chunks
-            .iter()
-            .map(|chunk| {
-                self.ctrl
-                    .peek_data(chunk.bank, chunk.subarray, chunk.d_index)
-            })
-            .collect()
+        self.peek_row_refs(handle)?.map(|row| row.cloned()).collect()
     }
 
     /// Borrowing backdoor read: [`peek_rows`](Self::peek_rows) without the

@@ -61,7 +61,7 @@ struct Family {
 }
 
 /// Spans, and separately events, a registry retains: the most recent
-/// 16,384 of each, a few MB at the executor's span sizes.
+/// 16,384 of each.
 pub const TRACE_CAPACITY: usize = 16_384;
 
 /// The most recent [`TRACE_CAPACITY`] records of one kind, oldest first.
