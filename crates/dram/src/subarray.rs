@@ -374,9 +374,9 @@ impl Subarray {
     /// reference path, even where the word-parallel fast path applies.
     ///
     /// The two paths are byte-identical, fault-armed or not: an armed TRA
-    /// draws the same per-bitline fault stream on both (pinned by the
-    /// equivalence proptests). This switch exists so benchmarks and tests
-    /// can measure and compare the retained reference implementation.
+    /// takes the same fault gaps on both (pinned by the equivalence
+    /// proptests). This switch exists so benchmarks and tests can measure
+    /// and compare the retained reference implementation.
     pub fn set_scalar_reference(&mut self, force: bool) {
         self.force_scalar = force;
     }
