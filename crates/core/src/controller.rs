@@ -2,6 +2,8 @@
 //! functional DRAM model while accounting timing and energy
 //! (paper Sections 5.2–5.5).
 
+use std::sync::Arc;
+
 use ambit_dram::{
     AapMode, Bank, BankId, BitRow, CampaignTick, CommandTimer, DramDevice, DramError,
     DramGeometry, EnergyModel, FaultCampaign, RefreshScheduler, TimingParams,
@@ -473,8 +475,43 @@ impl AmbitController {
         k: usize,
         data: &BitRow,
     ) -> Result<()> {
+        self.poke_data_buffer(bank, subarray, k, Arc::new(data.clone()))
+    }
+
+    /// Backdoor write of data row `Dk` from a shared buffer: the row takes
+    /// a reference to `data`, not a copy (see
+    /// [`Subarray::poke_row_buffer`](ambit_dram::Subarray::poke_row_buffer)).
+    ///
+    /// # Errors
+    ///
+    /// Returns an address error if `k` is out of the D-group.
+    pub(crate) fn poke_data_buffer(
+        &mut self,
+        bank: BankId,
+        subarray: usize,
+        k: usize,
+        data: Arc<BitRow>,
+    ) -> Result<()> {
         let row = self.layout.data_row(k)?;
-        self.device.bank_mut(bank).subarray_mut(subarray).poke_row(row, data.clone());
+        self.device
+            .bank_mut(bank)
+            .subarray_mut(subarray)
+            .poke_row_buffer(row, data);
+        Ok(())
+    }
+
+    /// Refreshes data row `Dk` without writing it (no protocol, no
+    /// timing): the retention stamp of a backdoor write of its own value.
+    ///
+    /// # Errors
+    ///
+    /// Returns an address error if `k` is out of the D-group.
+    pub(crate) fn refresh_data(&mut self, bank: BankId, subarray: usize, k: usize) -> Result<()> {
+        let row = self.layout.data_row(k)?;
+        self.device
+            .bank_mut(bank)
+            .subarray_mut(subarray)
+            .refresh_row(row);
         Ok(())
     }
 
@@ -484,14 +521,20 @@ impl AmbitController {
     ///
     /// Returns an address error if `k` is out of the D-group.
     pub fn peek_data(&self, bank: BankId, subarray: usize, k: usize) -> Result<BitRow> {
-        self.peek_data_row(bank, subarray, k).cloned()
+        self.peek_data_row(bank, subarray, k).map(|row| BitRow::clone(row))
     }
 
     /// Borrowing backdoor read of data row `Dk`: [`peek_data`](Self::peek_data)
-    /// without the row copy.
-    pub(crate) fn peek_data_row(&self, bank: BankId, subarray: usize, k: usize) -> Result<&BitRow> {
+    /// without the row copy. The row's shared buffer is returned, so a
+    /// caller can keep it by reference.
+    pub(crate) fn peek_data_row(
+        &self,
+        bank: BankId,
+        subarray: usize,
+        k: usize,
+    ) -> Result<&Arc<BitRow>> {
         let row = self.layout.data_row(k)?;
-        Ok(self.device.bank(bank).subarray(subarray).row(row))
+        Ok(self.device.bank(bank).subarray(subarray).row_buffer(row))
     }
 
     /// Ensures C0/C1 hold their constants in the given subarray (the

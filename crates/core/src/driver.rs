@@ -57,6 +57,14 @@ struct VectorMeta {
     chunks: Vec<ChunkLoc>,
 }
 
+/// The metadata of `handle`, borrowed from the vector table alone so the
+/// caller can drive the controller while holding it.
+fn meta_of(vectors: &HashMap<u64, VectorMeta>, handle: BitVectorHandle) -> Result<&VectorMeta> {
+    vectors
+        .get(&handle.0)
+        .ok_or(AmbitError::UnknownHandle { id: handle.0 })
+}
+
 /// One compiled per-chunk command program, ready to issue.
 #[derive(Debug, Clone)]
 struct ChunkProgram {
@@ -1428,15 +1436,58 @@ impl AmbitMemory {
     ///
     /// Returns [`AmbitError::SizeMismatch`] if the chunk count differs.
     pub fn poke_rows(&mut self, handle: BitVectorHandle, rows: &[BitRow]) -> Result<()> {
-        let meta = self.meta(handle)?.clone();
-        if rows.len() != meta.chunks.len() {
+        self.poke_buffers(handle, rows.len(), rows.iter().map(|row| Arc::new(row.clone())))
+    }
+
+    /// [`poke_rows`](Self::poke_rows) from shared row buffers: each chunk's
+    /// row takes a reference to its buffer, not a copy, so one buffer can
+    /// back the same chunk of several vectors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AmbitError::SizeMismatch`] if the chunk count differs.
+    pub(crate) fn poke_row_buffers(
+        &mut self,
+        handle: BitVectorHandle,
+        rows: &[Arc<BitRow>],
+    ) -> Result<()> {
+        self.poke_buffers(handle, rows.len(), rows.iter().cloned())
+    }
+
+    /// Stores `count` row buffers, one per chunk in order.
+    fn poke_buffers(
+        &mut self,
+        handle: BitVectorHandle,
+        count: usize,
+        rows: impl Iterator<Item = Arc<BitRow>>,
+    ) -> Result<()> {
+        let row_bits = self.row_bits();
+        let meta = meta_of(&self.vectors, handle)?;
+        if count != meta.chunks.len() {
             return Err(AmbitError::SizeMismatch {
-                left_bits: rows.len() * self.row_bits(),
+                left_bits: count * row_bits,
                 right_bits: meta.bits,
             });
         }
-        for (row, chunk) in rows.iter().zip(&meta.chunks) {
-            self.ctrl.poke_data(chunk.bank, chunk.subarray, chunk.d_index, row)?;
+        for (row, chunk) in rows.zip(&meta.chunks) {
+            self.ctrl
+                .poke_data_buffer(chunk.bank, chunk.subarray, chunk.d_index, row)?;
+        }
+        Ok(())
+    }
+
+    /// Refreshes every row of the vector without writing it (no protocol,
+    /// no timing): the retention stamps that
+    /// [`poke_rows`](Self::poke_rows) of the rows' own values would leave.
+    ///
+    /// # Errors
+    ///
+    /// Returns an unknown-handle error for stale handles.
+    pub(crate) fn refresh_rows(&mut self, handle: BitVectorHandle) -> Result<()> {
+        let meta = meta_of(&self.vectors, handle)?;
+        for chunk in &meta.chunks {
+            self.ctrl
+                .refresh_data(chunk.bank, chunk.subarray, chunk.d_index)?;
         }
         Ok(())
     }
@@ -1449,11 +1500,14 @@ impl AmbitMemory {
     ///
     /// Returns an unknown-handle error for stale handles.
     pub fn peek_rows(&self, handle: BitVectorHandle) -> Result<Vec<BitRow>> {
-        self.peek_row_refs(handle)?.map(|row| row.cloned()).collect()
+        self.peek_row_refs(handle)?
+            .map(|row| row.map(|row| BitRow::clone(row)))
+            .collect()
     }
 
     /// Borrowing backdoor read: [`peek_rows`](Self::peek_rows) without the
-    /// row copies, one row per chunk in order.
+    /// row copies, one row per chunk in order. Each item is the row's
+    /// shared buffer, so a caller can keep it by reference.
     ///
     /// # Errors
     ///
@@ -1461,7 +1515,7 @@ impl AmbitMemory {
     pub(crate) fn peek_row_refs(
         &self,
         handle: BitVectorHandle,
-    ) -> Result<impl Iterator<Item = Result<&BitRow>> + '_> {
+    ) -> Result<impl Iterator<Item = Result<&Arc<BitRow>>> + '_> {
         let meta = self.meta(handle)?;
         Ok(meta.chunks.iter().map(|chunk| {
             self.ctrl
@@ -1556,9 +1610,7 @@ impl AmbitMemory {
     }
 
     fn meta(&self, handle: BitVectorHandle) -> Result<&VectorMeta> {
-        self.vectors
-            .get(&handle.0)
-            .ok_or(AmbitError::UnknownHandle { id: handle.0 })
+        meta_of(&self.vectors, handle)
     }
 
     fn store_bits(

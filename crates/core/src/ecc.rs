@@ -11,12 +11,20 @@
 //! all three (replication commutes with every bitwise op, so the replicas
 //! stay consistent by construction); reads majority-vote the replicas,
 //! correcting any single-replica fault and reporting which bits needed
-//! correction. A scrub pass rewrites all replicas with the voted value.
+//! correction. A scrub pass rewrites all replicas with the voted value;
+//! replicas that already agree are only refreshed.
 //!
 //! Voting runs 64 bits per word over the replicas' packed rows:
 //! majority `(a&b)|(b&c)|(c&a)`, disagreement `(a^b)|(b^c)`. `Vec<bool>`
 //! appears only at the public boundary ([`TmrVector::write`],
 //! [`TmrVector::read_voted`]).
+//!
+//! Maintenance copies no row. Checks read the replica rows in place, and
+//! a write stores one shared row buffer per chunk in all three replicas
+//! (the device's copy-on-write storage pins each replica's stuck-at cells
+//! in a copy of its own).
+
+use std::sync::Arc;
 
 use ambit_dram::BitRow;
 
@@ -71,8 +79,8 @@ impl PackedVote {
 }
 
 /// Expands packed rows into the first `len` logical bits.
-pub(crate) fn unpack(rows: &[BitRow], len: usize) -> Vec<bool> {
-    rows.iter()
+pub(crate) fn unpack<'a>(rows: impl IntoIterator<Item = &'a BitRow>, len: usize) -> Vec<bool> {
+    rows.into_iter()
         .flat_map(|row| (0..row.len()).map(move |bit| row.get(bit)))
         .take(len)
         .collect()
@@ -129,8 +137,16 @@ impl TmrVector {
     /// [`write`](Self::write) does.
     pub(crate) fn write_rows(&self, mem: &mut AmbitMemory, mut rows: Vec<BitRow>) -> Result<()> {
         self.clear_padding(&mut rows);
+        let rows: Vec<Arc<BitRow>> = rows.into_iter().map(Arc::new).collect();
+        self.write_buffers(mem, &rows)
+    }
+
+    /// Stores one row buffer per chunk in all three replicas, shared by
+    /// reference. The buffers' bits past [`len_bits`](Self::len_bits) must
+    /// already be zero.
+    pub(crate) fn write_buffers(&self, mem: &mut AmbitMemory, rows: &[Arc<BitRow>]) -> Result<()> {
         for r in self.replicas {
-            mem.poke_rows(r, &rows)?;
+            mem.poke_row_buffers(r, rows)?;
         }
         Ok(())
     }
@@ -141,6 +157,93 @@ impl TmrVector {
             let valid = self.bits.saturating_sub(full.len() * last.len());
             last.clear_from(valid);
         }
+    }
+
+    /// Visits the three replicas' rows chunk by chunk, borrowed from the
+    /// device, with the number of the chunk's bits inside the vector's
+    /// length. Stops at the first `false` and returns whether every visit
+    /// returned `true`.
+    fn all_rows(
+        &self,
+        mem: &AmbitMemory,
+        mut visit: impl FnMut(usize, [&Arc<BitRow>; 3]) -> bool,
+    ) -> Result<bool> {
+        let [a, b, c] = self.replicas.map(|r| mem.peek_row_refs(r));
+        let mut remaining = self.bits;
+        for ((a, b), c) in a?.zip(b?).zip(c?) {
+            let rows = [a?, b?, c?];
+            let valid = remaining.min(rows[0].len());
+            remaining -= valid;
+            if !visit(valid, rows) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Counts the bits where the replicas disagree, the length of
+    /// [`read_voted`](Self::read_voted)'s `corrected` list (padding never
+    /// counts), without building the voted rows. It reads the replica rows
+    /// in place and allocates nothing: the resilient executor's check
+    /// after every operation and before every heal.
+    ///
+    /// # Errors
+    ///
+    /// Propagates driver errors (stale handle).
+    pub fn suspects(&self, mem: &AmbitMemory) -> Result<usize> {
+        let mut suspects = 0;
+        self.all_rows(mem, |valid, [a, b, c]| {
+            if Arc::ptr_eq(a, b) && Arc::ptr_eq(b, c) {
+                return true;
+            }
+            let disagree = |((a, b), c): ((&u64, &u64), &u64)| (a ^ b) | (b ^ c);
+            let mut words = a.words().iter().zip(b.words()).zip(c.words()).map(disagree);
+            suspects += words
+                .by_ref()
+                .take(valid / 64)
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>();
+            if valid % 64 != 0 {
+                let tail = words.next().unwrap_or(0) & ((1u64 << (valid % 64)) - 1);
+                suspects += tail.count_ones() as usize;
+            }
+            true
+        })?;
+        Ok(suspects)
+    }
+
+    /// Whether the replicas hold word-identical rows with zero padding, so
+    /// a scrub would store exactly the words already stored (stuck-at
+    /// cells included: every stored row already carries its faults).
+    fn settled(&self, mem: &AmbitMemory) -> Result<bool> {
+        self.all_rows(mem, |valid, [a, b, c]| {
+            let same =
+                |x: &Arc<BitRow>, y: &Arc<BitRow>| Arc::ptr_eq(x, y) || x.words() == y.words();
+            // The padding starts inside word `valid / 64` (or with it).
+            let padding = match a.words().split_at_checked(valid / 64) {
+                Some((_, [w, rest @ ..])) => w >> (valid % 64) != 0 || rest.iter().any(|&w| w != 0),
+                _ => false,
+            };
+            same(a, b) && same(b, c) && !padding
+        })
+    }
+
+    /// The voted value as one row buffer per chunk, padding zero, for
+    /// [`write_buffers`](Self::write_buffers). When the replicas already
+    /// agree these are replica 0's own buffers, shared rather than copied;
+    /// otherwise they hold the vote.
+    ///
+    /// # Errors
+    ///
+    /// Propagates driver errors (stale handle).
+    pub(crate) fn snapshot(&self, mem: &AmbitMemory) -> Result<Vec<Arc<BitRow>>> {
+        if self.settled(mem)? {
+            return mem
+                .peek_row_refs(self.replicas[0])?
+                .map(|row| row.cloned())
+                .collect();
+        }
+        Ok(self.vote(mem)?.voted.into_iter().map(Arc::new).collect())
     }
 
     /// Word-wise vote over the three replicas' packed rows, read in place
@@ -160,7 +263,7 @@ impl TmrVector {
             // (a^b) | (b^c) in one pass over a copy of a; `map_words`
             // visits the words in order.
             let mut bc = b.words().iter().zip(c.words());
-            let mut mask = a.clone();
+            let mut mask = BitRow::clone(a);
             mask.map_words(|_, a| bc.next().map_or(0, |(b, c)| (a ^ b) | (b ^ c)));
             disagree.push(mask);
         }
@@ -172,6 +275,30 @@ impl TmrVector {
             disagree,
             suspects,
         })
+    }
+
+    /// The three replicas' values of logical bit `bit`, read in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AmbitError::SizeMismatch`] if `bit` is past the vector's
+    /// length, and propagates driver errors (stale handle).
+    pub(crate) fn replica_bits(&self, mem: &AmbitMemory, bit: usize) -> Result<[bool; 3]> {
+        let out_of_range = AmbitError::SizeMismatch {
+            left_bits: bit,
+            right_bits: self.bits,
+        };
+        if bit >= self.bits {
+            return Err(out_of_range);
+        }
+        let row_bits = mem.row_bits();
+        let mut values = [false; 3];
+        for (value, &r) in values.iter_mut().zip(&self.replicas) {
+            let mut rows = mem.peek_row_refs(r)?;
+            let row = rows.nth(bit / row_bits).ok_or(out_of_range.clone())??;
+            *value = row.get(bit % row_bits);
+        }
+        Ok(values)
     }
 
     /// Majority-voted read with per-bit correction reporting.
@@ -191,14 +318,45 @@ impl TmrVector {
     /// single-replica transient corruption. Returns how many bits were
     /// repaired. Stuck-at hardware faults will of course re-corrupt.
     ///
+    /// Replicas that already agree, with zero padding, would be rewritten
+    /// with the words they hold, so they are only refreshed: the scrub
+    /// renews their retention stamps and writes nothing.
+    ///
     /// # Errors
     ///
     /// Propagates driver errors.
     pub fn scrub(&self, mem: &mut AmbitMemory) -> Result<usize> {
+        Ok(self.scrub_report(mem)?.repaired)
+    }
+
+    /// [`scrub`](Self::scrub), also saying whether the replicas agreed.
+    pub(crate) fn scrub_report(&self, mem: &mut AmbitMemory) -> Result<Scrub> {
+        if self.settled(mem)? {
+            for r in self.replicas {
+                mem.refresh_rows(r)?;
+            }
+            return Ok(Scrub {
+                repaired: 0,
+                clean: true,
+            });
+        }
         let vote = self.vote(mem)?;
         self.write_rows(mem, vote.voted)?;
-        Ok(vote.suspects)
+        Ok(Scrub {
+            repaired: vote.suspects,
+            clean: false,
+        })
     }
+}
+
+/// What one [`TmrVector::scrub`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Scrub {
+    /// Bits where the replicas disagreed, now rewritten with the vote.
+    pub(crate) repaired: usize,
+    /// The replicas already agreed with zero padding and were only
+    /// refreshed.
+    pub(crate) clean: bool,
 }
 
 /// Executes `dst = op(a, b)` on TMR vectors: the operation runs on each
@@ -241,7 +399,8 @@ pub fn bitwise_tmr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ambit_dram::{AapMode, CellFault, DramGeometry, TimingParams};
+    use ambit_dram::{AapMode, BankId, CellFault, DramGeometry, SubarrayStats, TimingParams};
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -359,6 +518,101 @@ mod tests {
         assert!(after.corrected.is_empty(), "scrub healed the replica");
     }
 
+    /// Every row of the device, bank by bank: its words, its refresh stamp
+    /// and its buffer's address, plus the device counters but
+    /// `rows_materialized` (a shared buffer meeting a differing stuck-at
+    /// cell is copied, where a private one is patched in place).
+    #[allow(clippy::type_complexity)]
+    fn device_image(mem: &AmbitMemory) -> (Vec<(Vec<u64>, Option<u64>, usize)>, SubarrayStats) {
+        let device = mem.controller().device();
+        let geometry = *device.geometry();
+        let mut rows = Vec::new();
+        for flat in 0..geometry.total_banks() {
+            let bank = device.bank(BankId::from_flat_index(flat, &geometry));
+            for s in 0..geometry.subarrays_per_bank {
+                let sa = bank.subarray(s);
+                for row in 0..sa.rows() {
+                    let buffer = sa.row_buffer(row);
+                    rows.push((
+                        buffer.words().to_vec(),
+                        sa.refreshed_at_ns(row),
+                        Arc::as_ptr(buffer) as usize,
+                    ));
+                }
+            }
+        }
+        let stats = SubarrayStats {
+            rows_materialized: 0,
+            ..device.stats()
+        };
+        (rows, stats)
+    }
+
+    /// [`device_image`] without the buffer addresses.
+    #[allow(clippy::type_complexity)]
+    fn device_values(mem: &AmbitMemory) -> (Vec<(Vec<u64>, Option<u64>)>, SubarrayStats) {
+        let (rows, stats) = device_image(mem);
+        (rows.into_iter().map(|(w, t, _)| (w, t)).collect(), stats)
+    }
+
+    #[test]
+    fn clean_scrub_only_refreshes_stale_replicas() {
+        let mut mem = memory();
+        let bits = 2 * mem.row_bits() + 5;
+        let v = TmrVector::alloc(&mut mem, bits).unwrap();
+        mem.controller_mut()
+            .device_mut()
+            .set_retention_window(Some(1_000));
+        v.write(&mut mem, &random_bits(bits, 9)).unwrap();
+        mem.controller_mut().device_mut().advance_time_ns(5_000);
+        let (before, _) = device_image(&mem);
+
+        let scrub = v.scrub_report(&mut mem).unwrap();
+        assert_eq!(
+            scrub,
+            Scrub {
+                repaired: 0,
+                clean: true
+            }
+        );
+        let (after, _) = device_image(&mem);
+        let mut refreshed = 0;
+        for ((words, stamp, buffer), (words_after, stamp_after, buffer_after)) in
+            before.iter().zip(&after)
+        {
+            assert_eq!(words, words_after, "a clean scrub writes no word");
+            assert_eq!(buffer, buffer_after, "a clean scrub stores no buffer");
+            if stamp != stamp_after {
+                assert_eq!(*stamp_after, Some(5_000));
+                refreshed += 1;
+            }
+        }
+        assert_eq!(refreshed, 3 * 3, "three replicas of three rows refreshed");
+    }
+
+    #[test]
+    fn padding_ones_make_the_scrub_rewrite() {
+        // An in-place NOT sets the padding past the vector's length; the
+        // replicas agree on every bit, but only a rewrite clears it.
+        let mut mem = memory();
+        let bits = mem.row_bits() - 3;
+        let v = TmrVector::alloc(&mut mem, bits).unwrap();
+        v.write(&mut mem, &random_bits(bits, 10)).unwrap();
+        bitwise_tmr(&mut mem, BitwiseOp::Not, &v, None, &v).unwrap();
+        assert_eq!(v.suspects(&mem).unwrap(), 0);
+        let padded = |mem: &AmbitMemory| {
+            v.replicas()
+                .iter()
+                .all(|&r| mem.peek_rows(r).unwrap()[0].words()[1] >> (bits - 64) != 0)
+        };
+        assert!(padded(&mem));
+        let scrub = v.scrub_report(&mut mem).unwrap();
+        assert!(!scrub.clean);
+        assert_eq!(scrub.repaired, 0);
+        assert!(!padded(&mem), "the rewrite cleared the padding");
+        assert!(v.scrub_report(&mut mem).unwrap().clean);
+    }
+
     #[test]
     fn size_mismatch_rejected() {
         let mut mem = memory();
@@ -368,5 +622,151 @@ mod tests {
             bitwise_tmr(&mut mem, BitwiseOp::Not, &a, None, &d),
             Err(AmbitError::SizeMismatch { .. })
         ));
+    }
+
+    /// A TMR state for the scrub-equivalence proptest.
+    #[derive(Debug, Clone)]
+    struct TmrState {
+        /// Logical length: up to three rows, mostly not a row multiple.
+        bits: usize,
+        seed: u64,
+        /// Close with an in-place NOT, which leaves ones in the padding.
+        not_in_place: bool,
+        /// Stuck-at cells as (replica, bit, stuck at one).
+        stuck: Vec<(usize, usize, bool)>,
+        /// Transient disagreements as (replica, bit) flips.
+        flips: Vec<(usize, usize)>,
+        /// An armed retention window and the time idled past it.
+        retention: Option<(u64, u64)>,
+    }
+
+    fn tmr_state() -> impl Strategy<Value = TmrState> {
+        (
+            (1usize..3 * 128 + 1, any::<u64>(), any::<bool>()),
+            proptest::collection::vec((0usize..3, any::<usize>(), any::<bool>()), 0..3),
+            proptest::collection::vec((0usize..3, any::<usize>()), 0..4),
+            (any::<bool>(), 1u64..2_000, 0u64..4_000),
+        )
+            .prop_map(|(head, stuck, flips, (armed, window, idle))| {
+                let (bits, seed, not_in_place) = head;
+                TmrState {
+                    bits,
+                    seed,
+                    not_in_place,
+                    stuck: stuck.into_iter().map(|(r, b, one)| (r, b % bits, one)).collect(),
+                    flips: flips.into_iter().map(|(r, b)| (r, b % bits)).collect(),
+                    retention: armed.then_some((window, idle)),
+                }
+            })
+    }
+
+    /// Builds the state on a fresh memory; equal states build equal
+    /// memories.
+    fn build(state: &TmrState) -> (AmbitMemory, TmrVector) {
+        let mut mem = memory();
+        let v = TmrVector::alloc(&mut mem, state.bits).unwrap();
+        if let Some((window, _)) = state.retention {
+            mem.controller_mut()
+                .device_mut()
+                .set_retention_window(Some(window));
+        }
+        v.write(&mut mem, &random_bits(state.bits, state.seed)).unwrap();
+        if state.not_in_place {
+            bitwise_tmr(&mut mem, BitwiseOp::Not, &v, None, &v).unwrap();
+        }
+        for &(r, bit, one) in &state.stuck {
+            let fault = if one {
+                CellFault::StuckAtOne
+            } else {
+                CellFault::StuckAtZero
+            };
+            mem.inject_fault(v.replicas()[r], bit, fault).unwrap();
+        }
+        let row_bits = mem.row_bits();
+        for &(r, bit) in &state.flips {
+            let replica = v.replicas()[r];
+            let mut rows = mem.peek_rows(replica).unwrap();
+            let row = &mut rows[bit / row_bits];
+            row.set(bit % row_bits, !row.get(bit % row_bits));
+            mem.poke_rows(replica, &rows).unwrap();
+        }
+        if let Some((window, idle)) = state.retention {
+            mem.controller_mut()
+                .device_mut()
+                .advance_time_ns(window + idle);
+        }
+        (mem, v)
+    }
+
+    /// The scrub before shared buffers: vote, then poke three copies.
+    fn reference_scrub(v: &TmrVector, mem: &mut AmbitMemory) -> usize {
+        let vote = v.vote(mem).unwrap();
+        for r in v.replicas() {
+            mem.poke_rows(r, &vote.voted).unwrap();
+        }
+        vote.suspects
+    }
+
+    /// The write before shared buffers: clear the padding, then poke three
+    /// copies.
+    fn reference_write(v: &TmrVector, mem: &mut AmbitMemory, mut rows: Vec<BitRow>) {
+        v.clear_padding(&mut rows);
+        for r in v.replicas() {
+            mem.poke_rows(r, &rows).unwrap();
+        }
+    }
+
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(256)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// `suspects`, `scrub`, `snapshot` and the shared `write_rows`
+        /// leave every row's words and refresh stamp, and every counter but
+        /// `rows_materialized`, as the vote-and-copy reference does, and
+        /// return the same values.
+        #[test]
+        fn scrub_equivalence(state in tmr_state(), write_seed in any::<u64>()) {
+            let (mut mem, v) = build(&state);
+            let (mut reference, v_ref) = build(&state);
+            prop_assert_eq!(v, v_ref);
+            prop_assert_eq!(device_values(&mem), device_values(&reference));
+
+            let vote = v.vote(&reference).unwrap();
+            prop_assert_eq!(v.suspects(&mem).unwrap(), vote.suspects);
+            let snapshot: Vec<BitRow> =
+                v.snapshot(&mem).unwrap().iter().map(|row| BitRow::clone(row)).collect();
+            prop_assert_eq!(snapshot, vote.voted);
+
+            prop_assert_eq!(v.scrub(&mut mem).unwrap(), reference_scrub(&v, &mut reference));
+            prop_assert_eq!(device_values(&mem), device_values(&reference));
+            prop_assert_eq!(v.suspects(&mem).unwrap(), v.vote(&reference).unwrap().suspects);
+            prop_assert_eq!(v.scrub(&mut mem).unwrap(), reference_scrub(&v, &mut reference));
+            prop_assert_eq!(device_values(&mem), device_values(&reference));
+
+            let row_bits = mem.row_bits();
+            let mut rng = ChaCha8Rng::seed_from_u64(write_seed);
+            let rows: Vec<BitRow> = (0..state.bits.div_ceil(row_bits))
+                .map(|_| BitRow::random(row_bits, &mut rng))
+                .collect();
+            v.write_rows(&mut mem, rows.clone()).unwrap();
+            reference_write(&v, &mut reference, rows);
+            prop_assert_eq!(device_values(&mem), device_values(&reference));
+
+            // The replicas now share buffers: an op on one replica alone
+            // must not reach the others, and the next scrub repairs it.
+            let r0 = v.replicas()[0];
+            mem.bitwise(BitwiseOp::Not, r0, None, r0).unwrap();
+            reference.bitwise(BitwiseOp::Not, r0, None, r0).unwrap();
+            prop_assert_eq!(device_values(&mem), device_values(&reference));
+            prop_assert_eq!(v.suspects(&mem).unwrap(), v.vote(&reference).unwrap().suspects);
+            prop_assert_eq!(v.scrub(&mut mem).unwrap(), reference_scrub(&v, &mut reference));
+            prop_assert_eq!(device_values(&mem), device_values(&reference));
+        }
     }
 }

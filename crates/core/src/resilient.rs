@@ -31,7 +31,9 @@
 //! Every operation returns a [`RecoveryReport`] accounting faults seen,
 //! retries, remaps, scrubs, CPU fallbacks, and the added latency/energy.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ambit_dram::{BitRow, DramError, FaultCampaign, RefreshParams, RefreshScheduler, PS_PER_NS};
 use ambit_telemetry::{Counter, Event, Gauge, Histogram, Registry, Span};
@@ -249,6 +251,9 @@ struct ResilientTelemetry {
     retries: Counter,
     remaps: Counter,
     scrubs: Counter,
+    /// Scrubs that found the replicas agreeing and only refreshed them
+    /// (a subset of `scrubs`; not part of [`RecoveryReport`]).
+    clean_scrubs: Counter,
     cpu_fallbacks: Counter,
     corrected_bits: Counter,
     refreshes: Counter,
@@ -291,6 +296,10 @@ impl ResilientTelemetry {
             scrubs: c(
                 "ambit_resilient_scrubs_total",
                 "Scrub passes (source, destination, and periodic)",
+            ),
+            clean_scrubs: c(
+                "ambit_resilient_clean_scrubs_total",
+                "Scrubs that found the replicas agreeing and only refreshed them",
             ),
             cpu_fallbacks: c(
                 "ambit_resilient_cpu_fallbacks_total",
@@ -440,10 +449,11 @@ impl ResilientExecutor {
         self.mem.now_ps() / PS_PER_NS
     }
 
-    /// Emits a recovery-path event if telemetry is attached.
-    fn emit_event(&self, event: Event) {
+    /// Emits a recovery-path event if telemetry is attached. The event is
+    /// only built then: its name and attributes are heap strings.
+    fn emit_event(&self, event: impl FnOnce() -> Event) {
         if let Some(tel) = &self.telemetry {
-            tel.registry.record_event(event);
+            tel.registry.record_event(event());
         }
     }
 
@@ -539,15 +549,16 @@ impl ResilientExecutor {
     /// [`AmbitError::UnknownHandle`] or driver errors.
     pub fn read(&mut self, handle: ResilientHandle) -> Result<Vec<bool>> {
         let tmr = self.entry(handle)?.tmr;
-        let vote = tmr.vote(&self.mem)?;
-        if vote.suspects > 0 {
-            self.report.faults_detected += vote.suspects as u64;
+        let suspects = tmr.suspects(&self.mem)?;
+        let voted = tmr.snapshot(&self.mem)?;
+        if suspects > 0 {
+            self.report.faults_detected += suspects as u64;
             self.heal(handle)?;
         }
         if let Some(tel) = &self.telemetry {
             tel.sync(&self.report);
         }
-        Ok(unpack(&vote.voted, tmr.len_bits()))
+        Ok(unpack(voted.iter().map(|row| &**row), tmr.len_bits()))
     }
 
     /// Executes `dst = op(a, b)` with the full detect → retry → remap →
@@ -587,14 +598,15 @@ impl ResilientExecutor {
         // When `dst` aliases a source, a failed in-DRAM attempt overwrites
         // that source, so every recovery path (retry, repair-from-truth,
         // CPU fallback) must start from the pre-op operand value, not the
-        // clobbered one. Snapshot the voted operand up front in that case.
+        // clobbered one. Snapshot the voted operand up front in that case:
+        // agreeing replicas lend their row buffers, so this copies nothing.
         let a_snap = if ea.tmr.replicas() == ed.tmr.replicas() {
-            Some(ea.tmr.vote(&self.mem)?.voted)
+            Some(ea.tmr.snapshot(&self.mem)?)
         } else {
             None
         };
         let b_snap = match &eb {
-            Some(e) if e.tmr.replicas() == ed.tmr.replicas() => Some(e.tmr.vote(&self.mem)?.voted),
+            Some(e) if e.tmr.replicas() == ed.tmr.replicas() => Some(e.tmr.snapshot(&self.mem)?),
             _ => None,
         };
         self.lap(ResilientPhase::Vote);
@@ -682,11 +694,9 @@ impl ResilientExecutor {
     pub fn scrub_all(&mut self) -> Result<u64> {
         let tmrs: Vec<TmrVector> = self.vectors.values().map(|e| e.tmr).collect();
         let mut repaired = 0u64;
-        for tmr in tmrs {
-            repaired += tmr.scrub(&mut self.mem)? as u64;
-            self.report.scrubs += 1;
+        for tmr in &tmrs {
+            repaired += self.scrub(tmr)? as u64;
         }
-        self.report.corrected_bits += repaired;
         if let Some(tel) = &self.telemetry {
             tel.sync(&self.report);
         }
@@ -734,8 +744,8 @@ impl ResilientExecutor {
         a: &TmrVector,
         b: Option<&TmrVector>,
         dst: &TmrVector,
-        a_snap: Option<&[BitRow]>,
-        b_snap: Option<&[BitRow]>,
+        a_snap: Option<&[Arc<BitRow>]>,
+        b_snap: Option<&[Arc<BitRow>]>,
         max_retries: u32,
         aap_budget: u64,
     ) -> Result<AttemptOutcome> {
@@ -763,11 +773,11 @@ impl ResilientExecutor {
                 {
                     retries += 1;
                     self.report.retries += 1;
-                    self.emit_event(
+                    self.emit_event(|| {
                         Event::new("resilient.retry", self.now_ns())
                             .attr("cause", "retention")
-                            .attr("attempt", retries as u64),
-                    );
+                            .attr("attempt", retries as u64)
+                    });
                     self.scrub_sources(a, b, a_snap, b_snap)?;
                     self.lap(ResilientPhase::Recovery);
                     continue;
@@ -783,9 +793,8 @@ impl ResilientExecutor {
             }
             aaps_spent += last_attempt_aaps;
 
-            let vote = dst.vote(&self.mem)?;
+            let suspects = dst.suspects(&self.mem)?;
             self.lap(ResilientPhase::Vote);
-            let suspects = vote.suspects;
             if suspects == 0 {
                 return Ok(AttemptOutcome::Done);
             }
@@ -804,12 +813,12 @@ impl ResilientExecutor {
             if retries < max_retries && budget_ok {
                 retries += 1;
                 self.report.retries += 1;
-                self.emit_event(
+                self.emit_event(|| {
                     Event::new("resilient.retry", self.now_ns())
                         .attr("cause", "suspects")
                         .attr("suspects", suspects)
-                        .attr("attempt", retries as u64),
-                );
+                        .attr("attempt", retries as u64)
+                });
                 // Backoff in commands: scrub the sources so the retry
                 // starts from consistent replicas.
                 self.scrub_sources(a, b, a_snap, b_snap)?;
@@ -822,11 +831,11 @@ impl ResilientExecutor {
                 // degrade the whole device to CPU execution (sticky).
                 self.degraded = true;
                 self.report.degraded = true;
-                self.emit_event(
+                self.emit_event(|| {
                     Event::new("resilient.degrade", self.now_ns())
                         .attr("suspects", suspects)
-                        .attr("bound", degrade_bound),
-                );
+                        .attr("bound", degrade_bound)
+                });
                 return Ok(AttemptOutcome::Fallback { retries, suspects });
             }
 
@@ -835,6 +844,8 @@ impl ResilientExecutor {
             // flipped identically — probability `rate³` per bit. Per word
             // the repair is (voted & !mask) | (truth & mask), computed in
             // place in the truth rows as voted ^ ((voted ^ truth) & mask).
+            let vote = dst.vote(&self.mem)?;
+            self.lap(ResilientPhase::Vote);
             let mut repaired = self.cpu_compute(op, a, b, a_snap, b_snap)?;
             for ((fix, voted), mask) in repaired.iter_mut().zip(&vote.voted).zip(&vote.disagree) {
                 fix.zip_with_into(voted, |t, v| t ^ v);
@@ -856,29 +867,36 @@ impl ResilientExecutor {
         &mut self,
         a: &TmrVector,
         b: Option<&TmrVector>,
-        a_snap: Option<&[BitRow]>,
-        b_snap: Option<&[BitRow]>,
+        a_snap: Option<&[Arc<BitRow>]>,
+        b_snap: Option<&[Arc<BitRow>]>,
     ) -> Result<()> {
-        let mut repaired = match a_snap {
-            Some(rows) => {
-                a.write_rows(&mut self.mem, rows.to_vec())?;
-                0
-            }
-            None => a.scrub(&mut self.mem)?,
-        };
-        self.report.scrubs += 1;
-        if let Some(b) = b {
-            repaired += match b_snap {
+        for (source, snap) in std::iter::once((a, a_snap)).chain(b.map(|b| (b, b_snap))) {
+            match snap {
                 Some(rows) => {
-                    b.write_rows(&mut self.mem, rows.to_vec())?;
-                    0
+                    source.write_buffers(&mut self.mem, rows)?;
+                    self.report.scrubs += 1;
                 }
-                None => b.scrub(&mut self.mem)?,
-            };
-            self.report.scrubs += 1;
+                None => {
+                    self.scrub(source)?;
+                }
+            }
         }
-        self.report.corrected_bits += repaired as u64;
         Ok(())
+    }
+
+    /// Scrubs one vector, counting the scrub and the bits it repaired (and,
+    /// with telemetry attached, whether it only refreshed agreeing
+    /// replicas). Returns the bits repaired.
+    fn scrub(&mut self, tmr: &TmrVector) -> Result<usize> {
+        let scrub = tmr.scrub_report(&mut self.mem)?;
+        self.report.scrubs += 1;
+        self.report.corrected_bits += scrub.repaired as u64;
+        if scrub.clean {
+            if let Some(tel) = &self.telemetry {
+                tel.clean_scrubs.inc();
+            }
+        }
+        Ok(scrub.repaired)
     }
 
     /// Computes the operation CPU-side from the voted source values, using
@@ -890,21 +908,22 @@ impl ResilientExecutor {
         op: BitwiseOp,
         a: &TmrVector,
         b: Option<&TmrVector>,
-        a_snap: Option<&[BitRow]>,
-        b_snap: Option<&[BitRow]>,
+        a_snap: Option<&[Arc<BitRow>]>,
+        b_snap: Option<&[Arc<BitRow>]>,
     ) -> Result<Vec<BitRow>> {
-        let mut out = match a_snap {
-            Some(rows) => rows.to_vec(),
-            None => a.vote(&self.mem)?.voted,
+        // A source without a snapshot is read through a fresh one, which
+        // shares agreeing replicas' rows and votes only otherwise.
+        let source = |tmr: &TmrVector, snap| match snap {
+            Some(rows) => Ok(Cow::Borrowed(rows)),
+            None => tmr.snapshot(&self.mem).map(Cow::Owned),
         };
-        let vb = match (b, b_snap) {
-            (Some(_), Some(rows)) => Some(rows.to_vec()),
-            (Some(b), None) => Some(b.vote(&self.mem)?.voted),
-            (None, _) => None,
-        };
-        match vb {
-            Some(vb) => {
-                for (row, b) in out.iter_mut().zip(&vb) {
+        let mut out: Vec<BitRow> = source(a, a_snap)?
+            .iter()
+            .map(|row| BitRow::clone(row))
+            .collect();
+        match b {
+            Some(b) => {
+                for (row, b) in out.iter_mut().zip(source(b, b_snap)?.iter()) {
                     row.zip_with_into(b, |x, y| op.apply_words(x, y));
                 }
             }
@@ -923,14 +942,12 @@ impl ResilientExecutor {
     /// the vector is marked degraded instead of erroring.
     fn heal(&mut self, handle: ResilientHandle) -> Result<()> {
         let tmr = self.entry(handle)?.tmr;
-        let clean = tmr.vote(&self.mem)?.suspects == 0;
+        let clean = tmr.suspects(&self.mem)? == 0;
         self.lap(ResilientPhase::Vote);
         if clean {
             return Ok(());
         }
-        let repaired = tmr.scrub(&mut self.mem)?;
-        self.report.scrubs += 1;
-        self.report.corrected_bits += repaired as u64;
+        self.scrub(&tmr)?;
         let persistent = tmr.vote(&self.mem)?.suspect_bits();
         self.lap(ResilientPhase::Vote);
         for bit in persistent {
@@ -947,12 +964,8 @@ impl ResilientExecutor {
     /// exhausted (the caller degrades the vector).
     fn remap_faulty_bit(&mut self, tmr: TmrVector, bit: usize) -> Result<bool> {
         let replicas = tmr.replicas();
-        let row_bits = self.mem.row_bits();
         for _ in 0..self.cfg.max_remap_attempts {
-            let values: Vec<bool> = replicas
-                .iter()
-                .map(|&r| Ok(self.mem.peek_rows(r)?[bit / row_bits].get(bit % row_bits)))
-                .collect::<Result<_>>()?;
+            let values = tmr.replica_bits(&self.mem, bit)?;
             let voted = values.iter().filter(|&&v| v).count() >= 2;
             let Some(faulty) = (0..3).find(|&i| values[i] != voted) else {
                 return Ok(true); // a spare took the write; bit is clean
@@ -960,16 +973,14 @@ impl ResilientExecutor {
             match self.mem.remap_bit(replicas[faulty], bit) {
                 Ok(()) => {
                     self.report.remaps += 1;
-                    self.emit_event(
+                    self.emit_event(|| {
                         Event::new("resilient.remap", self.now_ns())
                             .attr("bit", bit)
-                            .attr("replica", faulty as u64),
-                    );
+                            .attr("replica", faulty as u64)
+                    });
                     // The spare row inherited the old (faulty) contents;
                     // rewrite the voted value through the new mapping.
-                    let healed = tmr.scrub(&mut self.mem)?;
-                    self.report.scrubs += 1;
-                    self.report.corrected_bits += healed as u64;
+                    self.scrub(&tmr)?;
                 }
                 Err(AmbitError::SpareRowsExhausted { .. }) => return Ok(false),
                 Err(e) => return Err(e),
@@ -1202,6 +1213,34 @@ mod tests {
         }
         assert!(saw_refresh, "ops should advance time past a refresh window");
         assert_eq!(exec.read(a).unwrap(), pattern(bits, 2), "reads self-heal");
+    }
+
+    #[test]
+    fn stale_operands_complete_without_a_retention_retry() {
+        // Strict retention with every row stale. Each Figure 8 program
+        // copies its operands into the compute rows right before charge
+        // sharing them, and the copy refreshes them, so no TRA meets a stale
+        // row: the ops complete exactly, with no retention retry.
+        let mut exec = ResilientExecutor::new(memory(), ResilientConfig::default());
+        let bits = exec.memory().row_bits();
+        let (a, b, out) = (
+            exec.alloc(bits).unwrap(),
+            exec.alloc(bits).unwrap(),
+            exec.alloc(bits).unwrap(),
+        );
+        let da = pattern(bits, 2);
+        let db = pattern(bits, 3);
+        exec.write(a, &da).unwrap();
+        exec.write(b, &db).unwrap();
+        let device = exec.memory_mut().controller_mut().device_mut();
+        device.set_retention_window(Some(1_000));
+        device.advance_time_ns(5_000);
+        for op in BitwiseOp::FIGURE9_OPS {
+            let src2 = (op.source_count() == 2).then_some(b);
+            let report = exec.bitwise(op, a, src2, out).unwrap();
+            assert_eq!(report.retries, 0, "{op}: {report:?}");
+            assert_eq!(exec.read(out).unwrap(), expected(op, &da, &db), "{op}");
+        }
     }
 
     #[test]

@@ -581,6 +581,18 @@ impl Subarray {
     ///
     /// Panics if `row` is out of range.
     pub fn row(&self, row: usize) -> &BitRow {
+        self.row_buffer(row)
+    }
+
+    /// Borrows the shared buffer holding a row's cell contents, bypassing
+    /// the command protocol. Cloning it takes a reference, not a copy;
+    /// [`poke_row_buffer`](Subarray::poke_row_buffer) stores such a
+    /// reference back, into this or any other row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn row_buffer(&self, row: usize) -> &Arc<BitRow> {
         assert!(row < self.rows, "row {} out of range {}", row, self.rows);
         self.row_arc(self.resolve(row))
     }
@@ -603,10 +615,49 @@ impl Subarray {
     ///
     /// Panics if `row` is out of range or `data` has the wrong width.
     pub fn poke_row(&mut self, row: usize, data: BitRow) {
+        self.poke_row_buffer(row, Arc::new(data));
+    }
+
+    /// Directly overwrites a row's cell contents with a shared buffer,
+    /// bypassing the protocol: the row takes a reference to `data`, not a
+    /// copy, so one buffer can back rows in any number of subarrays. A
+    /// stuck-at cell of the row that differs from `data` is pinned in a
+    /// copy made for this row alone; the buffer itself never changes while
+    /// anything else holds it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range or `data` has the wrong width.
+    pub fn poke_row_buffer(&mut self, row: usize, data: Arc<BitRow>) {
         assert!(row < self.rows, "row {} out of range {}", row, self.rows);
         assert_eq!(data.len(), self.bits, "row width mismatch");
         self.stamp_refresh(row);
-        self.store(self.resolve(row), Arc::new(data));
+        self.store(self.resolve(row), data);
+    }
+
+    /// Refreshes one row without writing it: the retention stamp a
+    /// [`poke_row`](Subarray::poke_row) of the row's own value would leave,
+    /// and nothing else. A no-op unless a retention window is armed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn refresh_row(&mut self, row: usize) {
+        assert!(row < self.rows, "row {} out of range {}", row, self.rows);
+        self.stamp_refresh(row);
+    }
+
+    /// When logical row `row` was last refreshed, in the subarray's
+    /// nanoseconds, or `None` while no retention window is armed (stamps
+    /// are only kept while one is).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn refreshed_at_ns(&self, row: usize) -> Option<u64> {
+        assert!(row < self.rows, "row {} out of range {}", row, self.rows);
+        self.retention_ns
+            .map(|_| self.last_refresh_ns[self.resolve(row)])
     }
 
     /// Issues an ACTIVATE raising the given wordlines simultaneously.

@@ -7,14 +7,18 @@
 //! every activation. Sequences mix single- and multi-row activations on
 //! both sides of the sense amplifier, back-to-back copies, column reads
 //! and writes, stuck-at faults, spare-row remaps and `Subarray::clone()`
-//! snapshots (which later swap places with the live subarray). After every
-//! command, every row, the sense row and the command counters must match
-//! the model, so a write to one row can never show up in another row or in
-//! an earlier clone.
+//! snapshots (which later swap places with the live subarray). Commands
+//! land on one of two subarrays standing for rows in different banks, and
+//! a backdoor write can store one shared buffer in a row of each (as a TMR
+//! write does for its replicas). After every command, every row, the sense
+//! row and the command counters must match the model, so a write to one
+//! row can never show up in another row, in the other bank or in an
+//! earlier clone, and a shared buffer never changes while it is held.
 //!
 //! `PROPTEST_CASES` sets the case count (default 256).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ambit_dram::{
     BitRow, BitlineSide, CellFault, DramError, Subarray, SubarrayStats, TieBreak, Wordline,
@@ -26,6 +30,8 @@ const ROWS: usize = 8;
 /// word-wise path.
 const BITS: usize = 130;
 const ROW_BYTES: usize = BITS / 8;
+/// Independent subarrays, one per bank.
+const BANKS: usize = 2;
 
 #[derive(Debug, Clone)]
 enum Cmd {
@@ -35,6 +41,9 @@ enum Cmd {
     Read(usize, usize),
     Write(usize, Vec<u8>),
     Poke(usize, u64),
+    /// One buffer stored in a row of each bank: (row in bank 0, row in
+    /// bank 1, seed).
+    PokeShared(usize, usize, u64),
     InjectFault(usize, usize, bool),
     ClearFaults,
     Remap(usize, usize),
@@ -62,6 +71,8 @@ fn cmd_strategy() -> impl Strategy<Value = Cmd> {
         )
             .prop_map(|(o, d)| Cmd::Write(o, d)),
         (0usize..ROWS, any::<u64>()).prop_map(|(r, seed)| Cmd::Poke(r, seed)),
+        (0usize..ROWS, 0usize..ROWS, any::<u64>())
+            .prop_map(|(r0, r1, seed)| Cmd::PokeShared(r0, r1, seed)),
         (0usize..ROWS + 1, 0usize..BITS + 1, any::<bool>())
             .prop_map(|(r, b, one)| Cmd::InjectFault(r, b, one)),
         Just(Cmd::ClearFaults),
@@ -338,16 +349,25 @@ proptest! {
 
     #[test]
     fn shared_rows_never_alias(
-        cmds in proptest::collection::vec(cmd_strategy(), 1..120),
+        cmds in proptest::collection::vec((0usize..BANKS, cmd_strategy()), 1..120),
         policy in 0u8..3,
     ) {
         let tie_break = [TieBreak::Error, TieBreak::Zero, TieBreak::One][policy as usize];
-        let mut sa = Subarray::new(ROWS, BITS);
-        sa.set_tie_break(tie_break);
-        let mut model = Model::new(tie_break);
-        let mut snapshots: Vec<(Subarray, Model)> = Vec::new();
-        for (step, cmd) in cmds.iter().enumerate() {
-            let what = format!("step {step} {cmd:?}");
+        let mut banks: Vec<Subarray> = (0..BANKS)
+            .map(|_| {
+                let mut sa = Subarray::new(ROWS, BITS);
+                sa.set_tie_break(tie_break);
+                sa
+            })
+            .collect();
+        let mut models = vec![Model::new(tie_break); BANKS];
+        let mut snapshots: Vec<(Vec<Subarray>, Vec<Model>)> = Vec::new();
+        // Shared buffers still held here, with the value each was stored
+        // with: stuck cells and later writes must never reach them.
+        let mut held: Vec<(Arc<BitRow>, BitRow)> = Vec::new();
+        for (step, (bank, cmd)) in cmds.iter().enumerate() {
+            let what = format!("step {step} bank {bank} {cmd:?}");
+            let (sa, model) = (&mut banks[*bank], &mut models[*bank]);
             match cmd {
                 Cmd::Activate(wls) => {
                     let wls: Vec<Wordline> = wls.iter().map(|&(r, bar)| wordline(r, bar)).collect();
@@ -380,6 +400,30 @@ proptest! {
                     sa.poke_row(*row, data.clone());
                     model.store(model.row_map[*row], data);
                 }
+                Cmd::PokeShared(row0, row1, seed) => {
+                    let data = seeded_row(*seed);
+                    let buffer = Arc::new(data.clone());
+                    for (k, &row) in [*row0, *row1].iter().enumerate() {
+                        let (sa, model) = (&mut banks[k], &mut models[k]);
+                        let before = sa.stats().rows_materialized;
+                        // Only a differing stuck cell makes a row's own copy.
+                        let physical = model.row_map[row];
+                        let differs = model
+                            .faults
+                            .iter()
+                            .any(|(&(r, bit), &one)| r == physical && data.get(bit) != one);
+                        sa.poke_row_buffer(row, Arc::clone(&buffer));
+                        model.store(physical, data.clone());
+                        prop_assert_eq!(
+                            sa.stats().rows_materialized - before,
+                            u64::from(differs),
+                            "{}: bank {} copies only at a differing stuck cell",
+                            what,
+                            k
+                        );
+                    }
+                    held.push((buffer, data));
+                }
                 Cmd::InjectFault(row, bit, one) => {
                     let fault = if *one { CellFault::StuckAtOne } else { CellFault::StuckAtZero };
                     prop_assert_eq!(sa.inject_fault(*row, *bit, fault), model.inject_fault(*row, *bit, *one), "{}", what);
@@ -391,11 +435,11 @@ proptest! {
                 Cmd::Remap(from, to) => {
                     prop_assert_eq!(sa.remap_row(*from, *to), model.remap(*from, *to), "{}", what);
                 }
-                Cmd::Snapshot => snapshots.push((sa.clone(), model.clone())),
+                Cmd::Snapshot => snapshots.push((banks.clone(), models.clone())),
                 Cmd::Swap(i) => {
-                    if let Some((snap_sa, snap_model)) = snapshots.get_mut(*i) {
-                        std::mem::swap(&mut sa, snap_sa);
-                        std::mem::swap(&mut model, snap_model);
+                    if let Some((snap_banks, snap_models)) = snapshots.get_mut(*i) {
+                        std::mem::swap(&mut banks, snap_banks);
+                        std::mem::swap(&mut models, snap_models);
                     }
                 }
                 Cmd::ForceScalar(force) => {
@@ -403,9 +447,16 @@ proptest! {
                     model.force_scalar = *force;
                 }
             }
-            assert_matches(&sa, &model, &what)?;
-            for (i, (snap_sa, snap_model)) in snapshots.iter().enumerate() {
-                assert_matches(snap_sa, snap_model, &format!("{what}, snapshot {i}"))?;
+            for (k, (sa, model)) in banks.iter().zip(&models).enumerate() {
+                assert_matches(sa, model, &format!("{what}, bank {k}"))?;
+            }
+            for (i, (snap_banks, snap_models)) in snapshots.iter().enumerate() {
+                for (k, (sa, model)) in snap_banks.iter().zip(snap_models).enumerate() {
+                    assert_matches(sa, model, &format!("{what}, snapshot {i} bank {k}"))?;
+                }
+            }
+            for (buffer, value) in &held {
+                prop_assert_eq!(&**buffer, value, "{}: a held shared buffer changed", what);
             }
         }
     }

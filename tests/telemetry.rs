@@ -166,6 +166,15 @@ fn seeded_campaign_counters_equal_the_report_and_replay_exactly() {
         reg1.gauge_value("ambit_resilient_degraded", &[]),
         Some(1.0)
     );
+    // Clean scrubs are the scrubs that found agreeing replicas and only
+    // refreshed them: the sources' periodic scrubs here, but not the
+    // scrubs that healed the stuck cell.
+    let clean = value("ambit_resilient_clean_scrubs_total");
+    assert!(
+        clean >= 1 && clean < report1.scrubs,
+        "{clean} clean of {} scrubs",
+        report1.scrubs
+    );
 
     // The workload is constructed to hit every recovery path.
     assert_eq!(report1.ops, 8);
@@ -179,6 +188,45 @@ fn seeded_campaign_counters_equal_the_report_and_replay_exactly() {
     assert_eq!(count("resilient.retry"), report1.retries);
     assert_eq!(count("resilient.remap"), report1.remaps);
     assert_eq!(count("resilient.degrade"), 1);
+}
+
+#[test]
+fn clean_scrubs_count_the_scrubs_that_only_refreshed() {
+    let mem = AmbitMemory::new(
+        DramGeometry::tiny(),
+        TimingParams::ddr3_1600(),
+        AapMode::Overlapped,
+    );
+    let mut exec = ResilientExecutor::new(mem, ResilientConfig::default());
+    let registry = Registry::default();
+    exec.set_telemetry(registry.clone());
+    let bits = exec.memory().row_bits();
+    let a = exec.alloc(bits).unwrap();
+    let b = exec.alloc(bits).unwrap();
+    exec.write(a, &vec![true; bits]).unwrap();
+    let clean = || {
+        registry
+            .counter_value("ambit_resilient_clean_scrubs_total", &[])
+            .unwrap()
+    };
+
+    // Agreeing replicas: every scrub only refreshes.
+    assert_eq!(exec.scrub_all().unwrap(), 0);
+    assert_eq!(clean(), 2);
+    assert_eq!(exec.report().scrubs, 2);
+
+    // One replica of `b` disagrees in one bit: that scrub rewrites.
+    let victim = exec.replicas(b).unwrap()[1];
+    let mut bad = vec![false; bits];
+    bad[5] = true;
+    exec.memory_mut().poke_bits(victim, &bad).unwrap();
+    assert_eq!(exec.scrub_all().unwrap(), 1);
+    assert_eq!(clean(), 3, "a stays clean, b is rewritten");
+    assert_eq!(exec.report().scrubs, 4);
+    assert_eq!(
+        registry.counter_value("ambit_resilient_scrubs_total", &[]),
+        Some(4)
+    );
 }
 
 #[test]
