@@ -1,9 +1,10 @@
 //! The N-way differential execution oracle.
 //!
 //! Runs one [`Program`] through every execution path the stack offers —
-//! eager driver calls, the batch engine under both clock policies (serial
-//! and bank-parallel, with a four-thread fan-out) and on a one-thread
-//! budget (bank-parallel, fan-out drained inline), the device with its
+//! eager driver calls on a four-thread and on a one-thread fan-out budget,
+//! the batch engine under both clock policies (serial and bank-parallel,
+//! with a four-thread fan-out) and on a one-thread budget (bank-parallel,
+//! every pass inline), the device with its
 //! analog model replaced by the scalar reference, and (for all-bitwise
 //! programs) the resilient executor — and checks every path's final
 //! memory image byte-for-byte against the pure-CPU golden model.
@@ -49,8 +50,9 @@ use crate::program::{ProgOp, Program};
 use crate::trace_check::TraceChecker;
 
 /// Names of the fault-free execution paths, in oracle order.
-pub const FAULT_FREE_PATHS: [&str; 6] = [
+pub const FAULT_FREE_PATHS: [&str; 7] = [
     "eager",
+    "eager_one_worker",
     "batch_serial",
     "batch_bank_parallel",
     "batch_one_worker",
@@ -59,7 +61,8 @@ pub const FAULT_FREE_PATHS: [&str; 6] = [
 ];
 
 /// The batch paths, each a clock policy on a fan-out thread budget: four
-/// threads (spawned even on a one-core host) or one (drained inline).
+/// threads (parked workers even on a one-core host) or one (every pass
+/// inline).
 const BATCH_PATHS: [(&str, IssuePolicy, usize); 3] = [
     ("batch_serial", IssuePolicy::Serial, 4),
     ("batch_bank_parallel", IssuePolicy::BankParallel, 4),
@@ -205,7 +208,8 @@ fn check_trace(report: &mut OracleReport, path: &str, program: &Program, mem: &A
 
 /// How a path issues the program's ops.
 enum Issue {
-    Eager,
+    /// Eager driver calls on a fan-out thread budget.
+    Eager(usize),
     /// One batch under a clock policy on a fan-out thread budget.
     Batch(IssuePolicy, usize),
 }
@@ -271,9 +275,8 @@ fn run_driver_path(
     report: &mut OracleReport,
 ) -> Option<(Vec<Vec<bool>>, AmbitMemory)> {
     let mut mem = build_memory(program, forced_scalar);
-    if let Issue::Batch(_, threads) = issue {
-        mem.set_pool_threads(*threads);
-    }
+    let (Issue::Eager(threads) | Issue::Batch(_, threads)) = issue;
+    mem.set_pool_threads(*threads);
     if let Some(rate) = program.fault_tra_rate {
         if let Err(e) = mem.set_tra_fault_rate(rate) {
             report.fail(path, format!("fault arming failed: {e}"));
@@ -320,7 +323,7 @@ fn run_driver_path(
 
     let run = |mem: &mut AmbitMemory| -> Result<(), String> {
         match issue {
-            Issue::Eager => {
+            Issue::Eager(_) => {
                 for (i, op) in program.ops.iter().enumerate() {
                     match op {
                         ProgOp::Bitwise { op, src1, src2, dst } => {
@@ -642,10 +645,13 @@ fn run_differential(program: &Program, mutation: Option<&Mutation>) -> OracleRep
 
     let batch_paths = BATCH_PATHS
         .map(|(path, policy, threads)| (path, Issue::Batch(policy, threads), false));
-    let driver_paths = [("eager", Issue::Eager, false)]
-        .into_iter()
-        .chain(batch_paths)
-        .chain([("forced_scalar", Issue::Eager, true)]);
+    let driver_paths = [
+        ("eager", Issue::Eager(4), false),
+        ("eager_one_worker", Issue::Eager(1), false),
+    ]
+    .into_iter()
+    .chain(batch_paths)
+    .chain([("forced_scalar", Issue::Eager(4), true)]);
     for (path, issue, forced_scalar) in driver_paths {
         if let Some((mut readback, _)) =
             run_driver_path(program, path, &issue, forced_scalar, &mut report)

@@ -12,8 +12,17 @@ use ambit_telemetry::Registry;
 
 use crate::addressing::{RowAddress, SubarrayLayout};
 use crate::error::{AmbitError, Result};
-use crate::fanout::{Fanout, Job};
+use crate::fanout::{Fanout, Plans};
 use crate::ops::{compile, AmbitCmd, BitwiseOp};
+
+/// One compiled per-chunk command program, ready to issue: the program and
+/// the `(bank, subarray)` it runs in.
+#[derive(Debug, Clone)]
+pub(crate) struct ChunkProgram {
+    pub(crate) bank: BankId,
+    pub(crate) subarray: usize,
+    pub(crate) program: Vec<AmbitCmd>,
+}
 
 /// Timing/energy receipt for one executed command program.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -347,52 +356,28 @@ impl AmbitController {
         })
     }
 
-    /// Device-only execution of per-bank program queues, one [`Fanout`]
-    /// job per bank with work — the functional pass of every batch.
-    /// `queues[flat_bank]` holds `(subarray, program)` pairs in issue
-    /// order; within one bank that order is preserved exactly, and banks
+    /// Device-only execution of the per-bank program queues in `fanout`,
+    /// which index `plans` — the functional pass of every eager op and
+    /// batch. Within one bank the queue order is kept exactly, and banks
     /// share no functional state, so the final device image (including
     /// per-subarray stats and RNG streams) is byte-identical to running
     /// every program in issue order on one thread.
     ///
     /// Control rows are lazily-initialized shared state, so they are
-    /// prepared serially here before any job is submitted.
+    /// prepared serially here before any bank runs.
     ///
     /// # Errors
     ///
     /// Surfaces the failing bank's error deterministically in flat-bank
-    /// order, not job completion order. A panicking job surfaces as
+    /// order, not completion order. A panicking queue surfaces as
     /// [`AmbitError::ExecutorPanicked`] instead of aborting the process.
-    pub(crate) fn run_bank_queues(
-        &mut self,
-        queues: &[Vec<(usize, &[AmbitCmd])>],
-        fanout: &mut Fanout,
-    ) -> Result<()> {
-        let geometry = *self.device.geometry();
-        for (flat, queue) in queues.iter().enumerate() {
-            for &(subarray, _) in queue {
-                self.ensure_control_rows(BankId::from_flat_index(flat, &geometry), subarray);
-            }
+    pub(crate) fn run_bank_queues(&mut self, plans: &Plans, fanout: &mut Fanout) -> Result<()> {
+        for &at in fanout.queues().iter().flatten() {
+            let chunk = plans.chunk(at);
+            self.ensure_control_rows(chunk.bank, chunk.subarray);
         }
-        let salp = self.salp;
-        let layout = &self.layout;
-        let banks = self.device.banks_mut();
-        let mut results: Vec<Result<()>> = (0..queues.len()).map(|_| Ok(())).collect();
-        let jobs: Vec<Job<'_>> = banks
-            .iter_mut()
-            .zip(queues)
-            .zip(results.iter_mut())
-            .filter(|((_, queue), _)| !queue.is_empty())
-            .map(|((bank, queue), slot)| {
-                Box::new(move || {
-                    *slot = queue.iter().try_for_each(|&(subarray, program)| {
-                        run_program_on_bank(bank, layout, salp, subarray, program)
-                    });
-                }) as Job<'_>
-            })
-            .collect();
-        fanout.run(jobs)?;
-        results.into_iter().collect()
+        let row_words = self.row_bits().div_ceil(64);
+        fanout.run(self.device.banks_mut(), plans, self.layout, self.salp, row_words)
     }
 
     /// Reads data row `Dk` through the DRAM protocol (ACTIVATE, column
@@ -555,12 +540,11 @@ impl AmbitController {
 
 /// Executes one command program against a single bank's functional state —
 /// the device half of [`AmbitController::run_program`]. A free function over
-/// `&mut Bank` so the batch fan-out can hand disjoint banks to
-/// distinct OS threads while the borrow checker proves the ownership split
-/// is race-free. Banks share no state with the timer, and each subarray
-/// owns its RNG stream, so running this after the timing half (or on
-/// another thread) leaves the same device image.
-fn run_program_on_bank(
+/// `&mut Bank` so the fan-out can run banks it moved to other threads.
+/// Banks share no state with the timer, and each subarray owns its RNG
+/// stream, so running this after the timing half (or on another thread)
+/// leaves the same device image.
+pub(crate) fn run_program_on_bank(
     bank: &mut Bank,
     layout: &SubarrayLayout,
     salp: bool,

@@ -1,5 +1,6 @@
-//! Heap-allocation budget of TMR maintenance, counted by a global
-//! allocator that forwards to the system allocator.
+//! Heap-allocation budgets of TMR maintenance and of an eager op that
+//! dispatches to parked fan-out workers, counted by a global allocator
+//! that forwards to the system allocator.
 //!
 //! Everything runs in one `#[test]`: the harness runs tests on threads of
 //! its own, and a second test would add its allocations to the shared
@@ -107,4 +108,41 @@ fn tmr_maintenance_stays_within_its_allocation_budget() {
         "a fault-free protected AND made {n} allocations (budget {AND_BUDGET})"
     );
     println!("fault-free protected AND: {n} allocations");
+
+    // A fault-free eager AND over 128 chunks striped across all 8 banks,
+    // on a two-thread budget: each op hands four banks to the parked
+    // worker and takes them back. Once warm it allocates nothing: the
+    // queues, job lists and plans are reused, and the functional model
+    // writes its results into row buffers that precharges released.
+    let mem = exec.memory_mut();
+    mem.set_pool_threads(2);
+    let wide = 128 * mem.row_bits();
+    let (x, y, z) = (
+        mem.alloc(wide).unwrap(),
+        mem.alloc(wide).unwrap(),
+        mem.alloc(wide).unwrap(),
+    );
+    mem.poke_bits(x, &(0..wide).map(|i| i % 3 == 0).collect::<Vec<_>>())
+        .unwrap();
+    mem.poke_bits(y, &(0..wide).map(|i| i % 7 == 0).collect::<Vec<_>>())
+        .unwrap();
+    for _ in 0..3 {
+        mem.bitwise(BitwiseOp::And, x, Some(y), z).unwrap();
+    }
+    let before = mem.pool_stats();
+    let (_, n) = counted(|| mem.bitwise(BitwiseOp::And, x, Some(y), z).unwrap());
+    let after = mem.pool_stats();
+    assert_eq!(
+        (
+            after.warm_dispatches - before.warm_dispatches,
+            after.cold_spawns
+        ),
+        (1, 1),
+        "the AND was handed to the one parked worker: {after:?}"
+    );
+    assert_eq!(
+        n, 0,
+        "a dispatched eager AND made {n} allocations (budget 0)"
+    );
+    println!("dispatched eager AND: {n} allocations");
 }

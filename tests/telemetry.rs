@@ -332,3 +332,44 @@ fn a_long_resilient_run_keeps_a_bounded_trace() {
     assert_eq!(dropped("span"), Some((ops * per_op - TRACE_CAPACITY) as u64));
     assert_eq!(dropped("event"), Some(0), "a fault-free run drops no events");
 }
+
+/// Every functional pass counts its fan-out decision once in
+/// `ambit_fanout_total{mode}`: an eager op over 128 chunks striped across
+/// the 8 banks hands half of them to a parked worker, while a one-chunk op
+/// stays on the calling thread.
+#[test]
+fn fanout_decisions_are_counted_per_pass() {
+    let mut mem = AmbitMemory::ddr3_module();
+    mem.set_pool_threads(2);
+    let registry = Registry::new();
+    mem.set_telemetry(registry.clone());
+    let wide = 128 * mem.row_bits();
+    let (a, b, d) = (
+        mem.alloc(wide).unwrap(),
+        mem.alloc(wide).unwrap(),
+        mem.alloc(wide).unwrap(),
+    );
+    mem.bitwise(BitwiseOp::Or, a, Some(b), d).unwrap();
+    mem.bitwise(BitwiseOp::Xor, a, Some(b), d).unwrap();
+    let narrow = mem.row_bits();
+    let (x, y) = (mem.alloc(narrow).unwrap(), mem.alloc(narrow).unwrap());
+    mem.bitwise(BitwiseOp::And, x, Some(y), y).unwrap();
+
+    let mode = |m| registry.counter_value("ambit_fanout_total", &[("mode", m)]);
+    assert_eq!(mode("dispatched"), Some(2));
+    assert_eq!(mode("inline"), Some(1));
+    assert_eq!(registry.counter_family_total("ambit_fanout_total"), Some(3));
+    let stats = mem.pool_stats();
+    assert_eq!((stats.warm_dispatches, stats.cold_spawns), (2, 1));
+    assert_eq!(
+        registry.counter_value("ambit_pool_warm_dispatches_total", &[]),
+        Some(stats.warm_dispatches)
+    );
+    assert_eq!(
+        registry.counter_value("ambit_pool_jobs_total", &[]),
+        Some(16),
+        "two dispatched passes of 8 busy banks"
+    );
+    let prom = registry.render_prometheus();
+    assert!(prom.contains("ambit_fanout_total{mode=\"dispatched\"} 2"), "{prom}");
+}
