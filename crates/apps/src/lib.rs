@@ -39,7 +39,6 @@
 #![warn(missing_debug_implementations)]
 
 mod amset;
-pub mod arith;
 pub mod bitfunnel;
 pub mod bitmap_index;
 mod bitset;

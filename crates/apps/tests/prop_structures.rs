@@ -175,8 +175,8 @@ proptest! {
 }
 
 mod arith_props {
-    use ambit_apps::arith::BitSlicedVector;
-    use ambit_core::AmbitMemory;
+    use ambit_apps::synth_arith::{add_synth, sub_synth, BitSlicedVector};
+    use ambit_core::{AmbitMemory, IssuePolicy};
     use ambit_dram::{AapMode, DramGeometry, TimingParams};
     use proptest::prelude::*;
 
@@ -208,7 +208,7 @@ mod arith_props {
             let b = BitSlicedVector::alloc(&mut mem, bv.len(), width).unwrap();
             a.write(&mut mem, &av).unwrap();
             b.write(&mut mem, &bv).unwrap();
-            let (sum, _) = a.add(&mut mem, &b).unwrap();
+            let (sum, _) = add_synth(&mut mem, &a, &b, IssuePolicy::BankParallel).unwrap();
             let got = sum.read(&mem).unwrap();
             for l in 0..av.len() {
                 prop_assert_eq!(got[l], av[l].wrapping_add(bv[l]) & mask, "lane {}", l);
@@ -228,8 +228,8 @@ mod arith_props {
             let b = BitSlicedVector::alloc(&mut mem, bv.len(), width).unwrap();
             a.write(&mut mem, &av).unwrap();
             b.write(&mut mem, &bv).unwrap();
-            let (sum, _) = a.add(&mut mem, &b).unwrap();
-            let (back, _) = sum.sub(&mut mem, &b).unwrap();
+            let (sum, _) = add_synth(&mut mem, &a, &b, IssuePolicy::BankParallel).unwrap();
+            let (back, _) = sub_synth(&mut mem, &sum, &b, IssuePolicy::Serial).unwrap();
             prop_assert_eq!(back.read(&mem).unwrap(), av);
         }
     }

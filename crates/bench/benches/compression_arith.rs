@@ -4,9 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use ambit_apps::arith::BitSlicedVector;
+use ambit_apps::synth_arith::{add_synth, BitSlicedVector};
 use ambit_apps::WahBitmap;
-use ambit_core::AmbitMemory;
+use ambit_core::{AmbitMemory, IssuePolicy};
 use ambit_dram::{AapMode, DramGeometry, TimingParams};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -54,7 +54,7 @@ fn bench_adder(c: &mut Criterion) {
                 let b = BitSlicedVector::alloc(&mut mem, lanes, width).unwrap();
                 a.write(&mut mem, &av).unwrap();
                 b.write(&mut mem, &bv).unwrap();
-                let (sum, _) = a.add(&mut mem, &b).unwrap();
+                let (sum, _) = add_synth(&mut mem, &a, &b, IssuePolicy::BankParallel).unwrap();
                 black_box(sum.read(&mem).unwrap())
             });
         });

@@ -113,9 +113,8 @@ pub enum AmbitError {
         /// The panic payload, stringified.
         message: String,
     },
-    /// The boolean microprogram synthesizer rejected its input or produced
-    /// a program violating a caller-imposed budget (see
-    /// [`synth`](crate::synth)).
+    /// The boolean microprogram synthesizer (see [`synth`](crate::synth)),
+    /// or a bit-sliced arithmetic kernel built on it, rejected its input.
     Synthesis {
         /// What the synthesizer objected to.
         detail: String,

@@ -80,7 +80,6 @@ pub use isa::{BbopInstruction, BbopOutcome, ExecutionPath};
 pub use ops::{compile_majority, AmbitCmd, BitwiseOp};
 pub use physmap::{DataRowLocation, PhysicalMap};
 pub use synth::{
-    synthesize, synthesize_exprs, BoolFunc, Expr, SlotRef, SynthOptions, SynthProgram, SynthStats,
-    SynthStep,
+    synthesize, BoolFunc, SlotRef, SynthOptions, SynthProgram, SynthStats, SynthStep,
 };
 pub use throughput::AmbitConfig;

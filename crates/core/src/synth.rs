@@ -17,10 +17,7 @@
 //!
 //! This module is the compiler that targets that set:
 //!
-//! * **Front ends** — [`BoolFunc`] (a truth table over ≤ 6 inputs) and
-//!   [`Expr`] (an expression DAG with And/Or/Xor/Maj/Not nodes, lowered
-//!   node by node to the native steps, negations folded into
-//!   Nand/Nor/Xnor);
+//! * **Front end** — [`BoolFunc`], a truth table over ≤ 6 inputs;
 //! * **Selection** — cost-driven over the whole set, each op costing the
 //!   AAPs + APs of its Figure 8 program (ties go to fewer steps).
 //!   Functions of up to three inputs come from an exact library: the
@@ -153,22 +150,6 @@ impl BoolFunc {
         Ok(BoolFunc { inputs, table })
     }
 
-    /// Builds the truth table of an expression over `inputs` variables.
-    ///
-    /// # Errors
-    ///
-    /// Rejects arities outside `1..=6` and expressions referencing inputs
-    /// beyond `inputs`.
-    pub fn from_expr(inputs: usize, expr: &Expr) -> Result<Self> {
-        if inputs == 0 || inputs > MAX_INPUTS {
-            return Err(synth_err(format!(
-                "function arity {inputs} outside 1..={MAX_INPUTS}"
-            )));
-        }
-        expr.check_inputs(inputs)?;
-        BoolFunc::from_fn(inputs, |idx| expr.eval(idx))
-    }
-
     /// Number of inputs.
     pub fn inputs(&self) -> usize {
         self.inputs
@@ -186,119 +167,14 @@ impl BoolFunc {
     }
 }
 
-/// An expression-DAG front end for the synthesizer.
-///
-/// Inputs are numbered; constants, negation, and the usual connectives are
-/// provided, plus a native three-input majority node (the TRA primitive).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Expr {
-    /// Input variable `j`.
-    Input(usize),
-    /// A constant.
-    Const(bool),
-    /// Logical negation.
-    Not(Box<Expr>),
-    /// Conjunction.
-    And(Box<Expr>, Box<Expr>),
-    /// Disjunction.
-    Or(Box<Expr>, Box<Expr>),
-    /// Exclusive or.
-    Xor(Box<Expr>, Box<Expr>),
-    /// Three-input majority.
-    Maj(Box<Expr>, Box<Expr>, Box<Expr>),
-}
-
-impl Expr {
-    /// Input variable `j`.
-    pub fn input(j: usize) -> Expr {
-        Expr::Input(j)
-    }
-
-    /// `!self`.
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> Expr {
-        Expr::Not(Box::new(self))
-    }
-
-    /// `self & rhs`.
-    pub fn and(self, rhs: Expr) -> Expr {
-        Expr::And(Box::new(self), Box::new(rhs))
-    }
-
-    /// `self | rhs`.
-    pub fn or(self, rhs: Expr) -> Expr {
-        Expr::Or(Box::new(self), Box::new(rhs))
-    }
-
-    /// `self ^ rhs`.
-    pub fn xor(self, rhs: Expr) -> Expr {
-        Expr::Xor(Box::new(self), Box::new(rhs))
-    }
-
-    /// `maj(a, b, c)`.
-    pub fn maj(a: Expr, b: Expr, c: Expr) -> Expr {
-        Expr::Maj(Box::new(a), Box::new(b), Box::new(c))
-    }
-
-    fn eval(&self, idx: u64) -> bool {
-        match self {
-            Expr::Input(j) => idx >> j & 1 == 1,
-            Expr::Const(v) => *v,
-            Expr::Not(e) => !e.eval(idx),
-            Expr::And(a, b) => a.eval(idx) && b.eval(idx),
-            Expr::Or(a, b) => a.eval(idx) || b.eval(idx),
-            Expr::Xor(a, b) => a.eval(idx) != b.eval(idx),
-            Expr::Maj(a, b, c) => {
-                u8::from(a.eval(idx)) + u8::from(b.eval(idx)) + u8::from(c.eval(idx)) >= 2
-            }
-        }
-    }
-
-    fn check_inputs(&self, inputs: usize) -> Result<()> {
-        match self {
-            Expr::Input(j) if *j >= inputs => Err(synth_err(format!(
-                "expression references input {j}, function has {inputs}"
-            ))),
-            Expr::Input(_) | Expr::Const(_) => Ok(()),
-            Expr::Not(e) => e.check_inputs(inputs),
-            Expr::And(a, b) | Expr::Or(a, b) | Expr::Xor(a, b) => {
-                a.check_inputs(inputs)?;
-                b.check_inputs(inputs)
-            }
-            Expr::Maj(a, b, c) => {
-                a.check_inputs(inputs)?;
-                b.check_inputs(inputs)?;
-                c.check_inputs(inputs)
-            }
-        }
-    }
-}
-
-/// Compiler knobs.
-#[derive(Debug, Clone)]
+/// Compiler options. Common-subexpression elimination and dead-step
+/// elimination always run.
+#[derive(Debug, Clone, Default)]
 pub struct SynthOptions {
-    /// Common-subexpression elimination across the whole output batch.
-    pub cse: bool,
-    /// Dead-step elimination (backward liveness from the outputs).
-    pub dead_step_elim: bool,
     /// Lower three-live-input majorities into And/Or so the compiled
     /// program uses only two-operand bitwise steps — the shape the
     /// [`ResilientExecutor`](crate::ResilientExecutor) front end accepts.
     pub bitwise_only: bool,
-    /// Reject programs whose scratch-row high-water mark exceeds this
-    /// budget (e.g. a subarray's designated-row count minus the operands).
-    pub max_scratch: Option<usize>,
-}
-
-impl Default for SynthOptions {
-    fn default() -> Self {
-        SynthOptions {
-            cse: true,
-            dead_step_elim: true,
-            bitwise_only: false,
-            max_scratch: None,
-        }
-    }
 }
 
 /// A virtual value during lowering: a constant, an input, or the result of
@@ -485,30 +361,6 @@ impl Lowerer {
             return self.bin(BitwiseOp::Or, ab, c_ab);
         }
         self.push(LowStep::Maj(operands[0], operands[1], operands[2]))
-    }
-
-    /// Lowers an expression, or its complement when `negate` is set, so a
-    /// negated And/Or/Xor becomes one Nand/Nor/Xnor step.
-    fn expr(&mut self, e: &Expr, negate: bool) -> Val {
-        use BitwiseOp::{And, Nand, Nor, Or, Xnor, Xor};
-        let (op, a, b) = match e {
-            Expr::Input(j) => {
-                let v = Val::Input(*j);
-                return if negate { self.not(v) } else { v };
-            }
-            Expr::Const(c) => return Val::constant(*c != negate),
-            Expr::Not(e) => return self.expr(e, !negate),
-            Expr::Maj(a, b, c) => {
-                let (a, b, c) = (self.expr(a, false), self.expr(b, false), self.expr(c, false));
-                let v = self.maj(a, b, c);
-                return if negate { self.not(v) } else { v };
-            }
-            Expr::And(a, b) => (if negate { Nand } else { And }, a, b),
-            Expr::Or(a, b) => (if negate { Nor } else { Or }, a, b),
-            Expr::Xor(a, b) => (if negate { Xnor } else { Xor }, a, b),
-        };
-        let (a, b) = (self.expr(a, false), self.expr(b, false));
-        self.bin(op, a, b)
     }
 }
 
@@ -989,12 +841,12 @@ impl Selector {
     }
 }
 
-/// Replays `steps` through a fresh lowerer, remapping operands. With
-/// `memoize` this is the CSE pass: structurally identical steps collapse
-/// to one, and the re-simplification rules fire again on operands that
-/// became equal under canonicalization.
-fn replay(steps: &[LowStep], outputs: &[Val], memoize: bool) -> (Vec<LowStep>, Vec<Val>) {
-    let mut lw = Lowerer::new(memoize, false);
+/// Common-subexpression elimination: replays `steps` through a fresh
+/// memoizing lowerer, remapping operands, so structurally identical steps
+/// collapse to one and the re-simplification rules fire again on operands
+/// that became equal under canonicalization.
+fn eliminate_common(steps: &[LowStep], outputs: &[Val]) -> (Vec<LowStep>, Vec<Val>) {
+    let mut lw = Lowerer::new(true, false);
     let mut map: Vec<Val> = Vec::with_capacity(steps.len());
     let tr = |v: Val, map: &[Val]| match v {
         Val::Step(s) => map[s],
@@ -1134,8 +986,7 @@ pub struct SynthProgram {
 ///
 /// # Errors
 ///
-/// Rejects an empty batch, mismatched arities, and programs exceeding
-/// [`SynthOptions::max_scratch`].
+/// Rejects an empty batch and mismatched arities.
 pub fn synthesize(funcs: &[BoolFunc], opts: &SynthOptions) -> Result<SynthProgram> {
     if funcs.is_empty() {
         return Err(synth_err("no functions to synthesize"));
@@ -1150,53 +1001,18 @@ pub fn synthesize(funcs: &[BoolFunc], opts: &SynthOptions) -> Result<SynthProgra
         .iter()
         .map(|f| selector.emit(&mut lw, widen(f.table, f.inputs)))
         .collect();
-    finish(lw.steps, outputs, funcs.to_vec(), opts)
+    Ok(finish(lw.steps, outputs, funcs.to_vec()))
 }
 
-/// Compiles a batch of expressions over `inputs` shared variables.
-///
-/// # Errors
-///
-/// Rejects empty batches, out-of-range input references, arities outside
-/// `1..=6`, and programs exceeding [`SynthOptions::max_scratch`].
-pub fn synthesize_exprs(
-    inputs: usize,
-    exprs: &[Expr],
-    opts: &SynthOptions,
-) -> Result<SynthProgram> {
-    if exprs.is_empty() {
-        return Err(synth_err("no expressions to synthesize"));
-    }
-    let funcs = exprs
-        .iter()
-        .map(|e| BoolFunc::from_expr(inputs, e))
-        .collect::<Result<Vec<_>>>()?;
-    let mut lw = Lowerer::new(false, opts.bitwise_only);
-    let outputs: Vec<Val> = exprs.iter().map(|e| lw.expr(e, false)).collect();
-    finish(lw.steps, outputs, funcs, opts)
-}
-
-/// Shared backend: optimize, place outputs, allocate scratch registers,
+/// The backend: optimize, place outputs, allocate scratch registers,
 /// select steps.
-fn finish(
-    mut steps: Vec<LowStep>,
-    mut outputs: Vec<Val>,
-    funcs: Vec<BoolFunc>,
-    opts: &SynthOptions,
-) -> Result<SynthProgram> {
+fn finish(steps: Vec<LowStep>, outputs: Vec<Val>, funcs: Vec<BoolFunc>) -> SynthProgram {
     let inputs = funcs[0].inputs;
     let mut stats = SynthStats { lowered_steps: steps.len(), ..SynthStats::default() };
-
-    if opts.cse {
-        let before = steps.len();
-        (steps, outputs) = replay(&steps, &outputs, true);
-        stats.cse_removed = before - steps.len();
-    }
-    if opts.dead_step_elim {
-        let removed;
-        (steps, outputs, removed) = eliminate_dead(&steps, &outputs);
-        stats.dead_removed = removed;
-    }
+    let (steps, outputs) = eliminate_common(&steps, &outputs);
+    stats.cse_removed = stats.lowered_steps - steps.len();
+    let (steps, outputs, removed) = eliminate_dead(&steps, &outputs);
+    stats.dead_removed = removed;
 
     // Each step value's last reader among the steps.
     let mut last_use: Vec<Option<usize>> = vec![None; steps.len()];
@@ -1286,13 +1102,7 @@ fn finish(
                     high_water += 1;
                     high_water - 1
                 });
-                // Dead-store guard: with DSE off a step may have no users
-                // at all; its register frees immediately after the step.
-                if live_until[i] <= i {
-                    free.push(reg);
-                } else {
-                    reg_of[i] = reg;
-                }
+                reg_of[i] = reg;
                 SlotRef::Scratch(reg)
             }
         };
@@ -1353,22 +1163,14 @@ fn finish(
         compiled.push(SynthStep::Bitwise { op, src1, src2: None, dst });
     }
 
-    if let Some(budget) = opts.max_scratch {
-        if high_water > budget {
-            return Err(synth_err(format!(
-                "program needs {high_water} scratch rows, budget is {budget}"
-            )));
-        }
-    }
-
-    Ok(SynthProgram {
+    SynthProgram {
         inputs,
         outputs: outputs.len(),
         scratch: high_water,
         steps: compiled,
         funcs,
         stats,
-    })
+    }
 }
 
 impl SynthProgram {
@@ -1669,61 +1471,52 @@ mod tests {
             let plan = synthesize(&[f], &SynthOptions::default()).unwrap();
             exhaustive_check(&plan, &[f]);
             // Bitwise-only lowering preserves semantics and its shape.
-            let flat = synthesize(
-                &[f],
-                &SynthOptions { bitwise_only: true, ..SynthOptions::default() },
-            )
-            .unwrap();
+            let flat = synthesize(&[f], &SynthOptions { bitwise_only: true }).unwrap();
             assert!(flat.is_bitwise_only(), "table {table:#x} kept a Maj3");
             exhaustive_check(&flat, &[f]);
         }
     }
 
     #[test]
-    fn expression_front_end_matches_truth_tables() {
-        // maj(a, b, c) ^ !(a & c)
-        let e = Expr::maj(Expr::input(0), Expr::input(1), Expr::input(2))
-            .xor(Expr::input(0).and(Expr::input(2)).not());
-        let f = BoolFunc::from_expr(3, &e).unwrap();
-        let plan = synthesize_exprs(3, &[e], &SynthOptions::default()).unwrap();
-        exhaustive_check(&plan, &[f]);
-    }
-
-    #[test]
-    fn cse_and_dse_preserve_semantics_and_shrink_programs() {
-        let full_adder = [
-            BoolFunc::from_fn(3, |i| i.count_ones() & 1 == 1).unwrap(),
-            BoolFunc::from_fn(3, |i| i.count_ones() >= 2).unwrap(),
+    fn cse_shares_subterms_across_multi_output_batches() {
+        // (a & b) ^ c and (a & b) | c both select a & b; CSE keeps one.
+        let funcs = [
+            BoolFunc::from_table(3, 0x78).unwrap(),
+            BoolFunc::from_table(3, 0xF8).unwrap(),
         ];
-        let opt = synthesize(&full_adder, &SynthOptions::default()).unwrap();
-        let naive = synthesize(
-            &full_adder,
-            &SynthOptions {
-                cse: false,
-                dead_step_elim: false,
-                ..SynthOptions::default()
-            },
-        )
-        .unwrap();
-        exhaustive_check(&opt, &full_adder);
-        exhaustive_check(&naive, &full_adder);
-        assert!(opt.steps().len() <= naive.steps().len());
+        let plan = synthesize(&funcs, &SynthOptions::default()).unwrap();
+        exhaustive_check(&plan, &funcs);
+        let stats = *plan.stats();
+        assert_eq!((stats.lowered_steps, stats.cse_removed), (4, 1), "{stats:?}");
+        assert_eq!(stats.and_or_steps + stats.xor_steps, 3, "one And shared by Xor and Or");
 
-        // (a & b) ^ c and (a & b) | c both lower a & b; CSE keeps one.
-        let ab = || Expr::input(0).and(Expr::input(1));
-        let exprs = [ab().xor(Expr::input(2)), ab().or(Expr::input(2))];
-        let funcs = exprs.clone().map(|e| BoolFunc::from_expr(3, &e).unwrap());
-        let shared = synthesize_exprs(3, &exprs, &SynthOptions::default()).unwrap();
-        let unshared = synthesize_exprs(
-            3,
-            &exprs,
-            &SynthOptions { cse: false, ..SynthOptions::default() },
-        )
-        .unwrap();
-        exhaustive_check(&shared, &funcs);
-        exhaustive_check(&unshared, &funcs);
-        assert!(shared.stats().cse_removed > 0, "the batch shares a & b");
-        assert!(shared.steps().len() < unshared.steps().len());
+        // Random batches of two or three outputs over two to four inputs:
+        // every compiled schedule computes its tables, and CSE fires.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut removed = 0;
+        for _ in 0..200 {
+            let inputs = 2 + (next() % 3) as usize;
+            let mask = (1u64 << (1 << inputs)) - 1;
+            let funcs: Vec<BoolFunc> = (0..2 + next() % 2)
+                .map(|_| BoolFunc::from_table(inputs, next() & mask).unwrap())
+                .collect();
+            let plan = synthesize(&funcs, &SynthOptions::default()).unwrap();
+            exhaustive_check(&plan, &funcs);
+            let stats = plan.stats();
+            assert_eq!(
+                plan.steps().len(),
+                stats.lowered_steps - stats.cse_removed - stats.dead_removed + stats.output_steps,
+                "every kept step is compiled once"
+            );
+            removed += stats.cse_removed;
+        }
+        assert!(removed > 0, "no batch shared a subterm");
     }
 
     #[test]
@@ -1740,30 +1533,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_budget_is_enforced() {
-        let f = BoolFunc::from_fn(3, |i| i.count_ones() & 1 == 1).unwrap();
-        let plan = synthesize(&[f], &SynthOptions::default()).unwrap();
-        assert!(plan.scratch_rows() > 0);
-        let starved = synthesize(
-            &[f],
-            &SynthOptions {
-                max_scratch: Some(plan.scratch_rows() - 1),
-                ..SynthOptions::default()
-            },
-        );
-        assert!(matches!(starved, Err(AmbitError::Synthesis { .. })));
-        // A budget exactly at the high-water mark passes.
-        synthesize(
-            &[f],
-            &SynthOptions {
-                max_scratch: Some(plan.scratch_rows()),
-                ..SynthOptions::default()
-            },
-        )
-        .unwrap();
-    }
-
-    #[test]
     fn invalid_functions_are_rejected() {
         assert!(BoolFunc::from_table(0, 0).is_err());
         assert!(BoolFunc::from_table(7, 0).is_err());
@@ -1773,7 +1542,6 @@ mod tests {
         let f2 = BoolFunc::from_table(2, 0b0110).unwrap();
         let f3 = BoolFunc::from_table(3, 0x96).unwrap();
         assert!(synthesize(&[f2, f3], &SynthOptions::default()).is_err());
-        assert!(BoolFunc::from_expr(2, &Expr::input(5)).is_err());
     }
 
     #[test]
@@ -1878,31 +1646,10 @@ mod tests {
         assert_eq!(plan.aap_cost(), (9, 0));
         assert_eq!((plan.stats().maj3_steps, plan.stats().nand_nor_steps), (1, 1));
         // Under bitwise_only the library never selects a Maj3.
-        let flat = SynthOptions { bitwise_only: true, ..SynthOptions::default() };
+        let flat = SynthOptions { bitwise_only: true };
         for table in 0..256u64 {
             let f = BoolFunc::from_table(3, table).unwrap();
             assert_eq!(synthesize(&[f], &flat).unwrap().stats().maj3_steps, 0);
-        }
-    }
-
-    #[test]
-    fn expression_front_end_selects_native_steps() {
-        let (a, b) = (Expr::input(0), Expr::input(1));
-        let opts = SynthOptions::default();
-        for (e, op) in [
-            (a.clone().xor(b.clone()), BitwiseOp::Xor),
-            (a.clone().and(b.clone()).not(), BitwiseOp::Nand),
-            (a.clone().or(b.clone()).not(), BitwiseOp::Nor),
-            (a.xor(b).not(), BitwiseOp::Xnor),
-        ] {
-            let f = BoolFunc::from_expr(2, &e).unwrap();
-            let plan = synthesize_exprs(2, &[e], &opts).unwrap();
-            exhaustive_check(&plan, &[f]);
-            assert!(
-                matches!(plan.steps(), [SynthStep::Bitwise { op: o, .. }] if *o == op),
-                "{op}: {:?}",
-                plan.steps()
-            );
         }
     }
 

@@ -5,14 +5,15 @@
 //!
 //! Run with: `cargo run --release --example vector_arithmetic`
 
-use ambit_repro::apps::arith::BitSlicedVector;
-use ambit_repro::core::AmbitMemory;
+use ambit_repro::apps::synth_arith::{add_synth, sub_synth, BitSlicedVector};
+use ambit_repro::core::{AmbitMemory, IssuePolicy};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let mut mem = AmbitMemory::ddr3_module();
+    let policy = IssuePolicy::BankParallel;
 
     let lanes = 100_000;
     let width = 12;
@@ -25,20 +26,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     a.write(&mut mem, &av)?;
     b.write(&mut mem, &bv)?;
 
-    let (sum, receipt) = a.add(&mut mem, &b)?;
+    let (sum, receipt) = add_synth(&mut mem, &a, &b, policy)?;
     let got = sum.read(&mem)?;
     let correct = (0..lanes)
         .filter(|&l| got[l] == (av[l] + bv[l]) & 0xFFF)
         .count();
     println!(
         "a + b   : {correct}/{lanes} lanes correct  ({} AAPs + {} APs, {:.1} us in DRAM)",
-        receipt.aaps,
-        receipt.aps,
-        receipt.latency_ps() as f64 / 1e6
+        receipt.total.aaps,
+        receipt.total.aps,
+        receipt.makespan_ps() as f64 / 1e6
     );
     assert_eq!(correct, lanes);
 
-    let (diff, _) = a.sub(&mut mem, &b)?;
+    let (diff, _) = sub_synth(&mut mem, &a, &b, policy)?;
     let got = diff.read(&mem)?;
     let correct = (0..lanes)
         .filter(|&l| got[l] == av[l].wrapping_sub(bv[l]) & 0xFFF)
@@ -46,7 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("a - b   : {correct}/{lanes} lanes correct (two's complement in DRAM)");
     assert_eq!(correct, lanes);
 
-    let (inc, _) = a.add_constant(&mut mem, 1000)?;
+    // A constant operand is one more written vector.
+    let k = BitSlicedVector::alloc(&mut mem, lanes, width)?;
+    k.write(&mut mem, &vec![1000; lanes])?;
+    let (inc, _) = add_synth(&mut mem, &a, &k, policy)?;
     let got = inc.read(&mem)?;
     println!(
         "a + 1000: first lanes {:?} -> {:?}",

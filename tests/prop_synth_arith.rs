@@ -1,13 +1,11 @@
-//! Property-based equivalence of the compiler-generated bit-serial
-//! arithmetic kernels: for random lane counts, widths, and data, the
-//! synthesized add/sub/compare/popcount paths must agree with the
-//! hand-written `arith` kernels and with a scalar CPU reference, and a
-//! bitwise-only synthesized full adder must survive fault-armed execution
-//! through the resilient executor (golden equality unless the executor
-//! declares the run degraded).
+//! Property-based checks of the compiler-generated bit-serial arithmetic
+//! kernels: for random lane counts (one or two row chunks), widths, and
+//! data, the synthesized add/sub/compare/popcount/nonzero paths must agree
+//! with a scalar CPU reference, and a bitwise-only synthesized full adder
+//! must survive fault-armed execution through the resilient executor
+//! (golden equality unless the executor declares the run degraded).
 
-use ambit_repro::apps::arith::BitSlicedVector;
-use ambit_repro::apps::synth_arith;
+use ambit_repro::apps::synth_arith::{self, BitSlicedVector};
 use ambit_repro::core::{
     synthesize, AmbitMemory, BoolFunc, IssuePolicy, ResilientConfig, ResilientExecutor,
     SlotRef, SynthOptions, SynthStep,
@@ -16,8 +14,8 @@ use ambit_repro::dram::{AapMode, DramGeometry, TimingParams};
 use proptest::prelude::*;
 
 /// Taller-than-tiny geometry: the driver's bump allocator never reclaims
-/// rows, and each equivalence case allocates both the hand-written and the
-/// synthesized kernel's working sets.
+/// rows, and each case allocates its operands and the kernel's working
+/// set.
 fn memory() -> AmbitMemory {
     AmbitMemory::new(
         DramGeometry {
@@ -43,6 +41,13 @@ fn values(lanes: usize, width: usize, seed: u64) -> Vec<u32> {
         .collect()
 }
 
+/// A bit-sliced vector holding `vals`.
+fn vector(mem: &mut AmbitMemory, width: usize, vals: &[u32]) -> BitSlicedVector {
+    let v = BitSlicedVector::alloc(mem, vals.len(), width).unwrap();
+    v.write(mem, vals).unwrap();
+    v
+}
+
 fn policy_strategy() -> impl Strategy<Value = IssuePolicy> {
     prop_oneof![Just(IssuePolicy::Serial), Just(IssuePolicy::BankParallel)]
 }
@@ -50,11 +55,11 @@ fn policy_strategy() -> impl Strategy<Value = IssuePolicy> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Synthesized ripple add ≡ hand-written add ≡ scalar add mod 2^width.
+    /// Synthesized ripple add ≡ scalar add mod 2^width, sources untouched.
     #[test]
-    fn synth_add_matches_hand_written_and_scalar(
-        lanes in 1usize..40,
-        width in 1usize..9,
+    fn synth_add_matches_scalar(
+        lanes in 1usize..160,
+        width in 1usize..14,
         seed_a in any::<u64>(),
         seed_b in any::<u64>(),
         policy in policy_strategy(),
@@ -62,28 +67,24 @@ proptest! {
         let mut mem = memory();
         let va = values(lanes, width, seed_a);
         let vb = values(lanes, width, seed_b);
-        let a = BitSlicedVector::alloc(&mut mem, lanes, width).unwrap();
-        let b = BitSlicedVector::alloc(&mut mem, lanes, width).unwrap();
-        a.write(&mut mem, &va).unwrap();
-        b.write(&mut mem, &vb).unwrap();
+        let a = vector(&mut mem, width, &va);
+        let b = vector(&mut mem, width, &vb);
 
-        let (hand, _) = a.add(&mut mem, &b).unwrap();
-        let (synth, _) = synth_arith::add_synth(&mut mem, &a, &b, policy).unwrap();
-        let hand = hand.read(&mem).unwrap();
-        let synth = synth.read(&mem).unwrap();
+        let (sum, _) = synth_arith::add_synth(&mut mem, &a, &b, policy).unwrap();
+        let sum = sum.read(&mem).unwrap();
         let mask = (1u32 << width) - 1;
         for i in 0..lanes {
-            let scalar = va[i].wrapping_add(vb[i]) & mask;
-            prop_assert_eq!(hand[i], scalar, "hand-written add, lane {}", i);
-            prop_assert_eq!(synth[i], scalar, "synthesized add, lane {}", i);
+            prop_assert_eq!(sum[i], va[i].wrapping_add(vb[i]) & mask, "lane {}", i);
         }
+        prop_assert_eq!(a.read(&mem).unwrap(), va);
+        prop_assert_eq!(b.read(&mem).unwrap(), vb);
     }
 
-    /// Synthesized subtract ≡ hand-written subtract ≡ scalar mod 2^width.
+    /// Synthesized subtract ≡ scalar subtract mod 2^width.
     #[test]
-    fn synth_sub_matches_hand_written_and_scalar(
-        lanes in 1usize..40,
-        width in 1usize..9,
+    fn synth_sub_matches_scalar(
+        lanes in 1usize..160,
+        width in 1usize..14,
         seed_a in any::<u64>(),
         seed_b in any::<u64>(),
         policy in policy_strategy(),
@@ -91,28 +92,22 @@ proptest! {
         let mut mem = memory();
         let va = values(lanes, width, seed_a);
         let vb = values(lanes, width, seed_b);
-        let a = BitSlicedVector::alloc(&mut mem, lanes, width).unwrap();
-        let b = BitSlicedVector::alloc(&mut mem, lanes, width).unwrap();
-        a.write(&mut mem, &va).unwrap();
-        b.write(&mut mem, &vb).unwrap();
+        let a = vector(&mut mem, width, &va);
+        let b = vector(&mut mem, width, &vb);
 
-        let (hand, _) = a.sub(&mut mem, &b).unwrap();
-        let (synth, _) = synth_arith::sub_synth(&mut mem, &a, &b, policy).unwrap();
-        let hand = hand.read(&mem).unwrap();
-        let synth = synth.read(&mem).unwrap();
+        let (diff, _) = synth_arith::sub_synth(&mut mem, &a, &b, policy).unwrap();
+        let diff = diff.read(&mem).unwrap();
         let mask = (1u32 << width) - 1;
         for i in 0..lanes {
-            let scalar = va[i].wrapping_sub(vb[i]) & mask;
-            prop_assert_eq!(hand[i], scalar, "hand-written sub, lane {}", i);
-            prop_assert_eq!(synth[i], scalar, "synthesized sub, lane {}", i);
+            prop_assert_eq!(diff[i], va[i].wrapping_sub(vb[i]) & mask, "lane {}", i);
         }
     }
 
-    /// Synthesized compare ≡ hand-written compare ≡ scalar `<` mask.
+    /// Synthesized compare ≡ scalar `<` mask.
     #[test]
-    fn synth_compare_matches_hand_written_and_scalar(
-        lanes in 1usize..40,
-        width in 1usize..9,
+    fn synth_compare_matches_scalar(
+        lanes in 1usize..160,
+        width in 1usize..14,
         seed_a in any::<u64>(),
         seed_b in any::<u64>(),
         policy in policy_strategy(),
@@ -124,43 +119,57 @@ proptest! {
         for i in (0..lanes).step_by(3) {
             vb[i] = va[i];
         }
-        let a = BitSlicedVector::alloc(&mut mem, lanes, width).unwrap();
-        let b = BitSlicedVector::alloc(&mut mem, lanes, width).unwrap();
-        a.write(&mut mem, &va).unwrap();
-        b.write(&mut mem, &vb).unwrap();
+        let a = vector(&mut mem, width, &va);
+        let b = vector(&mut mem, width, &vb);
 
-        let (hand, _) = a.compare_lt(&mut mem, &b).unwrap();
-        let (synth, _) = synth_arith::compare_lt_synth(&mut mem, &a, &b, policy).unwrap();
-        let hand = mem.read_bits(hand).unwrap();
-        let synth = mem.read_bits(synth).unwrap();
+        let (lt, _) = synth_arith::compare_lt_synth(&mut mem, &a, &b, policy).unwrap();
+        let lt = mem.read_bits(lt).unwrap();
         for i in 0..lanes {
-            let scalar = va[i] < vb[i];
-            prop_assert_eq!(hand[i], scalar, "hand-written compare, lane {}", i);
-            prop_assert_eq!(synth[i], scalar, "synthesized compare, lane {}", i);
+            prop_assert_eq!(lt[i], va[i] < vb[i], "lane {}", i);
         }
     }
 
-    /// Synthesized popcount ≡ hand-written popcount ≡ scalar count_ones.
+    /// Synthesized popcount ≡ scalar count_ones.
     #[test]
-    fn synth_popcount_matches_hand_written_and_scalar(
-        lanes in 1usize..40,
-        width in 1usize..9,
+    fn synth_popcount_matches_scalar(
+        lanes in 1usize..160,
+        width in 1usize..14,
         seed in any::<u64>(),
         policy in policy_strategy(),
     ) {
         let mut mem = memory();
         let va = values(lanes, width, seed);
-        let a = BitSlicedVector::alloc(&mut mem, lanes, width).unwrap();
-        a.write(&mut mem, &va).unwrap();
+        let a = vector(&mut mem, width, &va);
 
-        let (hand, _) = a.popcount(&mut mem).unwrap();
-        let (synth, _) = synth_arith::popcount_synth(&mut mem, &a, policy).unwrap();
-        let hand = hand.read(&mem).unwrap();
-        let synth = synth.read(&mem).unwrap();
+        let (count, _) = synth_arith::popcount_synth(&mut mem, &a, policy).unwrap();
+        let count = count.read(&mem).unwrap();
         for i in 0..lanes {
-            let scalar = va[i].count_ones();
-            prop_assert_eq!(hand[i], scalar, "hand-written popcount, lane {}", i);
-            prop_assert_eq!(synth[i], scalar, "synthesized popcount, lane {}", i);
+            prop_assert_eq!(count[i], va[i].count_ones(), "lane {}", i);
+        }
+    }
+
+    /// The OR-fold nonzero mask ≡ scalar `!= 0`, at width 1 (a copy) and
+    /// at a wider width (a fold), with some lanes forced to zero.
+    #[test]
+    fn synth_nonzero_mask_matches_scalar(
+        lanes in 1usize..160,
+        width in 2usize..14,
+        seed in any::<u64>(),
+        zero_every in 1usize..8,
+        policy in policy_strategy(),
+    ) {
+        let mut mem = memory();
+        for width in [1, width] {
+            let mut va = values(lanes, width, seed);
+            for i in (0..lanes).step_by(zero_every) {
+                va[i] = 0;
+            }
+            let v = vector(&mut mem, width, &va);
+            let (mask, _) = synth_arith::nonzero_mask(&mut mem, &v, policy).unwrap();
+            let mask = mem.read_bits(mask).unwrap();
+            for i in 0..lanes {
+                prop_assert_eq!(mask[i], va[i] != 0, "width {}, lane {}", width, i);
+            }
         }
     }
 
@@ -179,7 +188,7 @@ proptest! {
         // rejects.
         let sum = BoolFunc::from_table(3, 0x96).unwrap();
         let carry = BoolFunc::from_table(3, 0xE8).unwrap();
-        let opts = SynthOptions { bitwise_only: true, ..SynthOptions::default() };
+        let opts = SynthOptions { bitwise_only: true };
         let plan = synthesize(&[sum, carry], &opts).unwrap();
         prop_assert!(plan.is_bitwise_only());
 

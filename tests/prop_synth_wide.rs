@@ -150,11 +150,7 @@ proptest! {
         }
         let plan = synthesize(&funcs, &SynthOptions::default()).unwrap();
         exhaustive_check(&plan, &funcs)?;
-        let flat = synthesize(
-            &funcs,
-            &SynthOptions { bitwise_only: true, ..SynthOptions::default() },
-        )
-        .unwrap();
+        let flat = synthesize(&funcs, &SynthOptions { bitwise_only: true }).unwrap();
         exhaustive_check(&flat, &funcs)?;
         prop_assert!(flat.is_bitwise_only(), "bitwise_only selected a Maj3");
         prop_assert_eq!(flat.stats().maj3_steps, 0);

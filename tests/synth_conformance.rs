@@ -185,7 +185,7 @@ fn sampled_four_and_five_input_tables_conform_on_device() {
 fn bitwise_only_lowering_conforms_on_device() {
     // The maj-free lowering (the shape the resilient executor accepts)
     // must compute the same function as the native-Maj3 schedule.
-    let opts = SynthOptions { bitwise_only: true, ..SynthOptions::default() };
+    let opts = SynthOptions { bitwise_only: true };
     let tables: Vec<u64> = (0..256u64).step_by(7).collect();
     let plans: Vec<SynthProgram> = tables
         .iter()

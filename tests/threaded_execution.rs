@@ -400,7 +400,8 @@ fn eager_ops_dispatch_to_parked_workers() {
 
 /// Allocates `a AND b -> d` chains in each of `groups`, mirrored across
 /// both memories so handles line up, and returns one batch per group plus
-/// every destination handle.
+/// every destination handle. Every vector spans two row chunks, which
+/// group placement puts in two banks.
 #[allow(clippy::type_complexity)]
 fn mirrored_group_batches(
     threaded: &mut AmbitMemory,
@@ -408,7 +409,7 @@ fn mirrored_group_batches(
     groups: usize,
     per_group: usize,
 ) -> (Vec<BatchBuilder>, Vec<BitVectorHandle>) {
-    let bits = threaded.row_bits();
+    let bits = 2 * threaded.row_bits();
     let mut batches = Vec::new();
     let mut dsts = Vec::new();
     for g in 0..groups {
@@ -438,24 +439,25 @@ fn mirrored_group_batches(
     (batches, dsts)
 }
 
-/// The satellite stress test: N OS threads concurrently submit batches
-/// over disjoint handle sets (one bank group each) against one shared
-/// memory. Whatever order the scheduler picks, the final memory bytes and
-/// the telemetry op counters must be identical to the same programs run
-/// serially on a mirrored module.
+/// N OS threads submit batches over disjoint handle sets (one allocation
+/// group each, every vector two chunks over two banks) to one shared
+/// memory. The `Mutex` serialises the submissions, in whatever order the
+/// scheduler picks; each batch's functional pass then fans out to the
+/// parked workers. The final memory bytes and the telemetry op counters
+/// must be identical to the same programs run serially on a mirrored
+/// module.
 #[test]
 fn concurrent_submitters_over_disjoint_handles_match_serial() {
     let groups = 4;
     let per_group = 8;
-    let mut threaded = AmbitMemory::ddr3_module();
-    let mut serial = AmbitMemory::ddr3_module();
+    let mut threaded = wide(DramGeometry::ddr3_module());
+    let mut serial = wide(DramGeometry::ddr3_module());
     threaded.set_pool_threads(4);
     threaded.set_telemetry(Registry::new());
     serial.set_telemetry(Registry::new());
     let (batches, dsts) = mirrored_group_batches(&mut threaded, &mut serial, groups, per_group);
 
-    // Concurrent submission: each thread owns one batch and races to
-    // lock-and-execute it, fanning its functional pass out to threads.
+    // Each thread owns one batch and races to lock-and-execute it.
     let shared = Mutex::new(threaded);
     std::thread::scope(|scope| {
         for batch in &batches {
@@ -486,6 +488,11 @@ fn concurrent_submitters_over_disjoint_handles_match_serial() {
     };
     assert_eq!(ops(&threaded), Some((groups * per_group) as u64));
     assert_eq!(ops(&threaded), ops(&serial), "telemetry counters diverged");
+    let dispatched = threaded
+        .telemetry()
+        .unwrap()
+        .counter_value("ambit_fanout_total", &[("mode", "dispatched")]);
+    assert!(dispatched > Some(0), "no batch reached the workers: {dispatched:?}");
     assert_eq!(
         threaded.controller().device().stats(),
         serial.controller().device().stats(),
