@@ -92,7 +92,7 @@ use ambit_bench::quick_mode;
 use ambit_circuit::{CharacterizationConfig, ChipProfile, CircuitParams};
 use ambit_core::{
     AllocGroup, AmbitConfig, AmbitController, AmbitMemory, BatchBuilder, BitwiseOp, IssuePolicy,
-    PlacementProfile, ResilienceConfig, ResilientExecutor, RowAddress, SubarrayLayout,
+    PlacementProfile, ResilientConfig, ResilientExecutor, RowAddress, SubarrayLayout,
 };
 use ambit_dram::{
     AapMode, BankId, CampaignConfig, DramGeometry, EnergyModel, FaultCampaign, TimingParams,
@@ -1221,12 +1221,12 @@ fn run_ab_side(chip: &ChipProfile, aware: bool, ops: usize) -> AbSide {
     )
     .expect("profile shape matches the geometry");
     let cfg = if aware {
-        ResilienceConfig {
+        ResilientConfig {
             bin_retry_multipliers: [0.5, 1.0, 2.0],
-            ..ResilienceConfig::default()
+            ..ResilientConfig::default()
         }
     } else {
-        ResilienceConfig::default()
+        ResilientConfig::default()
     };
     let mut exec = ResilientExecutor::with_campaign(mem, cfg, campaign)
         .expect("campaign applies to the bench geometry");

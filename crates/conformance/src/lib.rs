@@ -20,16 +20,16 @@
 //! * [`repro`] — a greedy minimizer plus a self-contained JSON repro format
 //!   for deterministic replay of any divergence;
 //! * [`refrng`] — the documented xorshift64\* reference RNG shared by the
-//!   fuzzer and the fault-model equivalence tests;
-//! * [`json`] — the dependency-free JSON reader/writer behind the repro
-//!   format.
+//!   fuzzer and the fault-model equivalence tests.
+//!
+//! Repro files are read and written with
+//! [`ambit_telemetry::json`], the workspace's one JSON codec.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod generator;
 pub mod golden;
-pub mod json;
 pub mod oracle;
 pub mod program;
 pub mod refrng;

@@ -11,8 +11,8 @@
 
 use ambit_core::BitwiseOp;
 use ambit_dram::{AapMode, DramGeometry, TieBreak, TimingParams};
+use ambit_telemetry::json::Json;
 
-use crate::json::{self, Json};
 use crate::refrng::ReferenceRng;
 
 /// Device geometry, by name (the repro format never embeds raw field
@@ -321,8 +321,8 @@ impl Program {
 
     /// Serializes the program to its JSON document.
     pub fn to_json(&self) -> Json {
-        json::obj(vec![
-            ("seed", json::big(self.seed)),
+        obj(vec![
+            ("seed", big(self.seed)),
             ("geometry", Json::Str(self.geometry.name().into())),
             ("timing", Json::Str(self.timing.name().into())),
             (
@@ -351,20 +351,17 @@ impl Program {
                 "fault_tra_rate",
                 self.fault_tra_rate.map_or(Json::Null, Json::Num),
             ),
-            (
-                "profile_seed",
-                self.profile_seed.map_or(Json::Null, json::big),
-            ),
+            ("profile_seed", self.profile_seed.map_or(Json::Null, big)),
             (
                 "vectors",
                 Json::Arr(
                     self.vectors
                         .iter()
                         .map(|v| {
-                            json::obj(vec![
-                                ("bits", json::num(v.bits as u64)),
-                                ("group", json::num(u64::from(v.group))),
-                                ("data_seed", json::big(v.data_seed)),
+                            obj(vec![
+                                ("bits", num(v.bits as u64)),
+                                ("group", num(u64::from(v.group))),
+                                ("data_seed", big(v.data_seed)),
                             ])
                         })
                         .collect(),
@@ -453,6 +450,22 @@ impl Program {
     }
 }
 
+/// Builds a JSON object from key/value pairs.
+pub(crate) fn obj(pairs: Vec<(&str, Json)>) -> Json {
+    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// A JSON number from an index or count.
+pub(crate) fn num(n: u64) -> Json {
+    Json::Num(n as f64)
+}
+
+/// A full-width 64-bit integer as a decimal string, exact where an `f64`
+/// number would round above 2^53. Read back with [`Json::as_u64_any`].
+fn big(n: u64) -> Json {
+    Json::Str(n.to_string())
+}
+
 /// Parses a bbop mnemonic back into its [`BitwiseOp`].
 pub fn op_from_mnemonic(name: &str) -> Option<BitwiseOp> {
     const ALL: [BitwiseOp; 10] = [
@@ -472,38 +485,38 @@ pub fn op_from_mnemonic(name: &str) -> Option<BitwiseOp> {
 
 fn op_to_json(op: &ProgOp) -> Json {
     match op {
-        ProgOp::Bitwise { op, src1, src2, dst } => json::obj(vec![
+        ProgOp::Bitwise { op, src1, src2, dst } => obj(vec![
             ("kind", Json::Str("bitwise".into())),
             ("op", Json::Str(op.mnemonic().into())),
-            ("src1", json::num(*src1 as u64)),
-            ("src2", src2.map_or(Json::Null, |s| json::num(s as u64))),
-            ("dst", json::num(*dst as u64)),
+            ("src1", num(*src1 as u64)),
+            ("src2", src2.map_or(Json::Null, |s| num(s as u64))),
+            ("dst", num(*dst as u64)),
         ]),
-        ProgOp::Maj3 { a, b, c, dst } => json::obj(vec![
+        ProgOp::Maj3 { a, b, c, dst } => obj(vec![
             ("kind", Json::Str("maj3".into())),
-            ("a", json::num(*a as u64)),
-            ("b", json::num(*b as u64)),
-            ("c", json::num(*c as u64)),
-            ("dst", json::num(*dst as u64)),
+            ("a", num(*a as u64)),
+            ("b", num(*b as u64)),
+            ("c", num(*c as u64)),
+            ("dst", num(*dst as u64)),
         ]),
-        ProgOp::Fold { op, srcs, dst } => json::obj(vec![
+        ProgOp::Fold { op, srcs, dst } => obj(vec![
             ("kind", Json::Str("fold".into())),
             ("op", Json::Str(op.mnemonic().into())),
             (
                 "srcs",
-                Json::Arr(srcs.iter().map(|&s| json::num(s as u64)).collect()),
+                Json::Arr(srcs.iter().map(|&s| num(s as u64)).collect()),
             ),
-            ("dst", json::num(*dst as u64)),
+            ("dst", num(*dst as u64)),
         ]),
-        ProgOp::Synth { table, inputs, dst } => json::obj(vec![
+        ProgOp::Synth { table, inputs, dst } => obj(vec![
             ("kind", Json::Str("synth".into())),
             // Truth tables can use all 64 bits; serialize like the seeds.
-            ("table", json::big(*table)),
+            ("table", big(*table)),
             (
                 "inputs",
-                Json::Arr(inputs.iter().map(|&s| json::num(s as u64)).collect()),
+                Json::Arr(inputs.iter().map(|&s| num(s as u64)).collect()),
             ),
-            ("dst", json::num(*dst as u64)),
+            ("dst", num(*dst as u64)),
         ]),
     }
 }
@@ -604,7 +617,7 @@ mod tests {
     fn json_round_trip_preserves_programs() {
         let p = sample();
         let text = p.to_json().to_string();
-        let back = Program::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+        let back = Program::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, p);
     }
 
@@ -614,7 +627,7 @@ mod tests {
         // decimal strings, beyond f64's integer range).
         let p = Program { profile_seed: Some(u64::MAX - 7), ..sample() };
         let text = p.to_json().to_string();
-        let back = Program::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+        let back = Program::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, p);
     }
 
@@ -676,7 +689,7 @@ mod tests {
             dst: 2,
         };
         let text = p.to_json().to_string();
-        let back = Program::from_json(&crate::json::parse(&text).unwrap()).unwrap();
+        let back = Program::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, p);
     }
 

@@ -8,9 +8,10 @@
 //! environment, allocation plan, ops, optional mutation, and the observed
 //! failures) that replays bit-identically on any machine.
 
-use crate::json::{self, Json};
+use ambit_telemetry::json::Json;
+
 use crate::oracle::{run_oracle, Failure, Mutation, OracleReport};
-use crate::program::Program;
+use crate::program::{num, obj, Program};
 
 /// A self-contained, minimized failure reproduction.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,16 +147,16 @@ impl Repro {
 
     /// Serializes the repro to its JSON document.
     pub fn to_json(&self) -> Json {
-        json::obj(vec![
+        obj(vec![
             ("format", Json::Str("ambit-conformance-repro-v1".into())),
             ("program", self.program.to_json()),
             (
                 "mutation",
                 self.mutation.as_ref().map_or(Json::Null, |m| {
-                    json::obj(vec![
+                    obj(vec![
                         ("path", Json::Str(m.path.clone())),
-                        ("vector", json::num(m.vector as u64)),
-                        ("bit", json::num(m.bit as u64)),
+                        ("vector", num(m.vector as u64)),
+                        ("bit", num(m.bit as u64)),
                     ])
                 }),
             ),
@@ -165,7 +166,7 @@ impl Repro {
                     self.failures
                         .iter()
                         .map(|f| {
-                            json::obj(vec![
+                            obj(vec![
                                 ("path", Json::Str(f.path.clone())),
                                 ("detail", Json::Str(f.detail.clone())),
                             ])
@@ -182,7 +183,7 @@ impl Repro {
     ///
     /// A description of the first structural defect.
     pub fn from_json_text(text: &str) -> Result<Repro, String> {
-        let doc = json::parse(text)?;
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
         if doc.get("format").and_then(Json::as_str) != Some("ambit-conformance-repro-v1") {
             return Err("not an ambit-conformance-repro-v1 document".into());
         }
@@ -292,6 +293,19 @@ mod tests {
     fn conforming_programs_capture_nothing() {
         let program = generate(1, &GeneratorConfig::default());
         assert!(Repro::capture(&program, None).is_none());
+    }
+
+    /// A fault-armed repro with full-width seeds, as written by the
+    /// conformance crate's former JSON codec.
+    const LEGACY_REPRO: &str = r#"{"failures":[{"detail":"vector 2 differs at bit 77: \"got\" 1\n\texpected 0","path":"resilient"}],"format":"ambit-conformance-repro-v1","mutation":{"bit":77,"path":"resilient","vector":2},"program":{"aap_mode":"naive","fault_tra_rate":0.0005,"geometry":"tiny","ops":[{"dst":2,"kind":"bitwise","op":"bbop_xor","src1":0,"src2":1},{"dst":1,"kind":"bitwise","op":"bbop_not","src1":2,"src2":null},{"dst":2,"kind":"fold","op":"bbop_or","srcs":[0,1]}],"profile_seed":"18446744073709551608","seed":"16045690984503111693","tie_break":"zero","timing":"ddr3_1600","vectors":[{"bits":128,"data_seed":"18446744073709551557","group":0},{"bits":128,"data_seed":"2","group":0},{"bits":128,"data_seed":"1152921504606846976","group":0}]}}"#;
+
+    #[test]
+    fn legacy_repro_re_serializes_byte_for_byte() {
+        let repro = Repro::from_json_text(LEGACY_REPRO).unwrap();
+        assert_eq!(repro.program.fault_tra_rate, Some(0.0005));
+        assert_eq!(repro.program.profile_seed, Some(u64::MAX - 7));
+        assert_eq!(repro.program.vectors[0].data_seed, u64::MAX - 58);
+        assert_eq!(repro.to_json().to_string(), LEGACY_REPRO);
     }
 
     #[test]

@@ -1023,7 +1023,7 @@ impl AmbitMemory {
     /// Executes a [`BatchBuilder`]'s operations as one planned batch.
     ///
     /// The batch is first split into dependency waves
-    /// ([`BatchBuilder::waves`]-style hazard analysis), and every op is
+    /// (`BatchBuilder::waves`-style hazard analysis), and every op is
     /// validated and compiled *before* any command issues — a malformed
     /// batch fails without touching the device. Then, whatever the policy:
     ///
@@ -1243,151 +1243,66 @@ impl AmbitMemory {
         )
     }
 
+    /// Validates an op and compiles its per-chunk programs. The checks run
+    /// in a fixed order for every kind: arity, handle lookups (sources in
+    /// operand order, then the destination), each source's size against
+    /// the destination's, then per-chunk co-location.
     fn plan_op_uncached(&self, entry: &BatchOp) -> Result<Vec<ChunkProgram>> {
-        match entry {
-            BatchOp::Bitwise { op, src1, src2, dst } => {
-                if op.source_count() == 2 && src2.is_none() {
-                    return Err(AmbitError::WrongOperandCount {
-                        op: op.mnemonic(),
-                        expected: 2,
-                        provided: 1,
-                    });
-                }
-                let m1 = self.meta(*src1)?;
-                let m2 = match src2 {
-                    Some(h) => Some(self.meta(*h)?),
-                    None => None,
-                };
-                let md = self.meta(*dst)?;
-                if m1.bits != md.bits {
-                    return Err(AmbitError::SizeMismatch {
-                        left_bits: m1.bits,
-                        right_bits: md.bits,
-                    });
-                }
-                if let Some(m2) = m2 {
-                    if m2.bits != m1.bits {
-                        return Err(AmbitError::SizeMismatch {
-                            left_bits: m1.bits,
-                            right_bits: m2.bits,
-                        });
-                    }
-                }
-                let mut chunks = Vec::with_capacity(m1.chunks.len());
-                for chunk in 0..m1.chunks.len() {
-                    let c1 = m1.chunks[chunk];
-                    let cd = md.chunks[chunk];
-                    let c2 = m2.map(|m| m.chunks[chunk]);
-                    let colocated = c1.bank == cd.bank
-                        && c1.subarray == cd.subarray
-                        && c2.is_none_or(|c| c.bank == c1.bank && c.subarray == c1.subarray);
-                    if !colocated {
-                        return Err(AmbitError::NotColocated { chunk });
-                    }
-                    // A self-copy is a no-op: eliding it avoids the
-                    // degenerate AAP(x, x), which re-activates the row
-                    // already open (wasted restore cycles, and a redundant
-                    // copy activation on the command trace).
-                    if *op == BitwiseOp::Copy && c1.d_index == cd.d_index {
-                        continue;
-                    }
-                    let program = compile(
-                        *op,
-                        RowAddress::D(c1.d_index),
-                        c2.map(|c| RowAddress::D(c.d_index)),
-                        RowAddress::D(cd.d_index),
-                    )?;
-                    chunks.push(ChunkProgram {
-                        bank: c1.bank,
-                        subarray: c1.subarray,
-                        program,
-                    });
-                }
-                Ok(chunks)
+        let bad_arity = match entry {
+            BatchOp::Bitwise { op, src2: None, .. } if op.source_count() == 2 => Some((*op, 1)),
+            BatchOp::Fold { op, srcs, .. } if !fold_supported(*op) || srcs.len() < 2 => {
+                Some((*op, srcs.len()))
             }
-            BatchOp::Maj3 { a, b, c, dst } => {
-                let ma = self.meta(*a)?;
-                let mb = self.meta(*b)?;
-                let mc = self.meta(*c)?;
-                let md = self.meta(*dst)?;
-                for m in [mb, mc, md] {
-                    if m.bits != ma.bits {
-                        return Err(AmbitError::SizeMismatch {
-                            left_bits: ma.bits,
-                            right_bits: m.bits,
-                        });
-                    }
-                }
-                let mut chunks = Vec::with_capacity(ma.chunks.len());
-                for chunk in 0..ma.chunks.len() {
-                    let (ca, cb, cc, cd) = (
-                        ma.chunks[chunk],
-                        mb.chunks[chunk],
-                        mc.chunks[chunk],
-                        md.chunks[chunk],
-                    );
-                    let colocated = [cb, cc, cd]
-                        .iter()
-                        .all(|c| c.bank == ca.bank && c.subarray == ca.subarray);
-                    if !colocated {
-                        return Err(AmbitError::NotColocated { chunk });
-                    }
-                    let program = compile_majority(
-                        RowAddress::D(ca.d_index),
-                        RowAddress::D(cb.d_index),
-                        RowAddress::D(cc.d_index),
-                        RowAddress::D(cd.d_index),
-                    );
-                    chunks.push(ChunkProgram {
-                        bank: ca.bank,
-                        subarray: ca.subarray,
-                        program,
-                    });
-                }
-                Ok(chunks)
-            }
-            BatchOp::Fold { op, srcs, dst } => {
-                if !fold_supported(*op) || srcs.len() < 2 {
-                    return Err(AmbitError::WrongOperandCount {
-                        op: op.mnemonic(),
-                        expected: 2,
-                        provided: srcs.len(),
-                    });
-                }
-                let metas: Vec<&VectorMeta> = srcs
-                    .iter()
-                    .map(|&h| self.meta(h))
-                    .collect::<Result<_>>()?;
-                let md = self.meta(*dst)?;
-                for m in &metas {
-                    if m.bits != md.bits {
-                        return Err(AmbitError::SizeMismatch {
-                            left_bits: m.bits,
-                            right_bits: md.bits,
-                        });
-                    }
-                }
-                let mut chunks = Vec::with_capacity(md.chunks.len());
-                for chunk in 0..md.chunks.len() {
-                    let cd = md.chunks[chunk];
-                    let mut src_addrs = Vec::with_capacity(metas.len());
-                    for m in &metas {
-                        let c = m.chunks[chunk];
-                        if c.bank != cd.bank || c.subarray != cd.subarray {
-                            return Err(AmbitError::NotColocated { chunk });
-                        }
-                        src_addrs.push(RowAddress::D(c.d_index));
-                    }
-                    let program = compile_fold(*op, &src_addrs, RowAddress::D(cd.d_index))?;
-                    chunks.push(ChunkProgram {
-                        bank: cd.bank,
-                        subarray: cd.subarray,
-                        program,
-                    });
-                }
-                Ok(chunks)
-            }
+            _ => None,
+        };
+        if let Some((op, provided)) = bad_arity {
+            return Err(AmbitError::WrongOperandCount {
+                op: op.mnemonic(),
+                expected: 2,
+                provided,
+            });
         }
+        let srcs: Vec<&VectorMeta> = entry.reads().map(|h| self.meta(h)).collect::<Result<_>>()?;
+        let md = self.meta(entry.writes())?;
+        if let Some(m) = srcs.iter().find(|m| m.bits != md.bits) {
+            return Err(AmbitError::SizeMismatch {
+                left_bits: m.bits,
+                right_bits: md.bits,
+            });
+        }
+        let mut chunks = Vec::with_capacity(md.chunks.len());
+        let mut src_rows = Vec::with_capacity(srcs.len());
+        for (chunk, cd) in md.chunks.iter().enumerate() {
+            src_rows.clear();
+            for m in &srcs {
+                let c = m.chunks[chunk];
+                if c.bank != cd.bank || c.subarray != cd.subarray {
+                    return Err(AmbitError::NotColocated { chunk });
+                }
+                src_rows.push(RowAddress::D(c.d_index));
+            }
+            let dst = RowAddress::D(cd.d_index);
+            let program = match entry {
+                // A self-copy is a no-op: eliding it avoids the degenerate
+                // AAP(x, x), which re-activates the row already open
+                // (wasted restore cycles, and a redundant copy activation
+                // on the command trace).
+                BatchOp::Bitwise { op: BitwiseOp::Copy, .. } if src_rows[0] == dst => continue,
+                BatchOp::Bitwise { op, .. } => {
+                    compile(*op, src_rows[0], src_rows.get(1).copied(), dst)?
+                }
+                BatchOp::Maj3 { .. } => {
+                    compile_majority(src_rows[0], src_rows[1], src_rows[2], dst)
+                }
+                BatchOp::Fold { op, .. } => compile_fold(*op, &src_rows, dst)?,
+            };
+            chunks.push(ChunkProgram {
+                bank: cd.bank,
+                subarray: cd.subarray,
+                program,
+            });
+        }
+        Ok(chunks)
     }
 
     /// Issues an op's chunk programs: the timing pass in chunk order, then

@@ -73,9 +73,7 @@ pub use driver::{AllocGroup, AmbitMemory, BadRowEntry, BitVectorHandle, Placemen
 pub use error::{AmbitError, Result};
 pub use fanout::PoolStats;
 pub use ecc::{bitwise_tmr, TmrVector, VotedRead};
-pub use resilient::{
-    RecoveryReport, ResilienceConfig, ResilientConfig, ResilientExecutor, ResilientHandle,
-};
+pub use resilient::{RecoveryReport, ResilientConfig, ResilientExecutor, ResilientHandle};
 pub use isa::{BbopInstruction, BbopOutcome, ExecutionPath};
 pub use ops::{compile_majority, AmbitCmd, BitwiseOp};
 pub use physmap::{DataRowLocation, PhysicalMap};

@@ -35,7 +35,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ambit_dram::{BitRow, DramError, FaultCampaign, RefreshParams, RefreshScheduler, PS_PER_NS};
+use ambit_dram::{BitRow, FaultCampaign, RefreshParams, RefreshScheduler, PS_PER_NS};
 use ambit_telemetry::{Counter, Event, Gauge, Histogram, Registry, Span};
 
 use crate::driver::{AmbitMemory, BitVectorHandle, PhaseClock};
@@ -80,10 +80,6 @@ pub struct ResilientConfig {
     /// nominal, so the default `[1.0, 1.0, 1.0]` leaves behavior unchanged.
     pub bin_retry_multipliers: [f64; 3],
 }
-
-/// The public name for the executor's tunable recovery policy — one entry
-/// point for retry budgets and per-bin de-rating.
-pub type ResilienceConfig = ResilientConfig;
 
 impl Default for ResilientConfig {
     fn default() -> Self {
@@ -766,22 +762,6 @@ impl ResilientExecutor {
                         suspects: 0,
                     });
                 }
-                // A stale operand row: scrubbing rewrites (and thereby
-                // refreshes) the operands, then the op is retried.
-                Err(AmbitError::Dram(DramError::RetentionViolation { .. }))
-                    if retries < max_retries =>
-                {
-                    retries += 1;
-                    self.report.retries += 1;
-                    self.emit_event(|| {
-                        Event::new("resilient.retry", self.now_ns())
-                            .attr("cause", "retention")
-                            .attr("attempt", retries as u64)
-                    });
-                    self.scrub_sources(a, b, a_snap, b_snap)?;
-                    self.lap(ResilientPhase::Recovery);
-                    continue;
-                }
                 Err(e) => return Err(e),
             };
             let last_attempt_aaps = receipt.aaps as u64;
@@ -1332,12 +1312,10 @@ mod tests {
     }
 
     #[test]
-    fn resilience_config_alias_and_defaults_pin_current_behavior() {
-        // Satellite: `ResilienceConfig` is the public entry point; the
-        // default multipliers must leave the pre-characterization policy
-        // untouched.
-        let cfg: ResilienceConfig = ResilienceConfig::default();
-        assert_eq!(cfg, ResilientConfig::default());
+    fn resilient_config_defaults_pin_current_behavior() {
+        // The default multipliers must leave the pre-characterization
+        // policy untouched.
+        let cfg = ResilientConfig::default();
         assert_eq!(cfg.bin_retry_multipliers, [1.0, 1.0, 1.0]);
         assert_eq!(cfg.max_retries, 3);
         assert_eq!(cfg.retry_aap_budget, 256);

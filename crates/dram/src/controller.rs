@@ -26,9 +26,6 @@ use crate::energy::{EnergyAccount, EnergyModel};
 use crate::error::{DramError, Result};
 use crate::timing::{AapMode, TimingParams};
 
-/// Default capacity of the always-on ring-buffer trace.
-pub const DEFAULT_TRACE_CAPACITY: usize = 256;
-
 /// One command on the trace a [`CommandTimer`] can record — the same
 /// information a Ramulator-style trace file carries, useful for verifying
 /// command sequences and for feeding external analysis.
@@ -171,12 +168,6 @@ pub struct CommandTimer {
     /// Unbounded full trace, when opted in via [`set_tracing`]
     /// (CommandTimer::set_tracing).
     trace: Option<Vec<TraceEntry>>,
-    /// Always-on bounded ring of the most recent commands.
-    ring: VecDeque<TraceEntry>,
-    /// Ring capacity; 0 disables ring recording.
-    ring_cap: usize,
-    /// Entries evicted from the ring since the last capacity change.
-    ring_dropped: u64,
     /// Registered instruments, when a telemetry registry is attached.
     telemetry: Option<TimerTelemetry>,
 }
@@ -287,49 +278,19 @@ impl CommandTimer {
             horizon_ps: 0,
             stats: TimerStats::default(),
             trace: None,
-            ring: VecDeque::with_capacity(DEFAULT_TRACE_CAPACITY),
-            ring_cap: DEFAULT_TRACE_CAPACITY,
-            ring_dropped: 0,
             telemetry: None,
         }
     }
 
-    /// Enables or disables *full* (unbounded) command tracing. Enabling
-    /// starts a fresh trace. Independent of the always-on ring buffer —
-    /// see [`recent_trace`](CommandTimer::recent_trace).
+    /// Enables or disables full (unbounded) command tracing. Enabling
+    /// starts a fresh trace.
     pub fn set_tracing(&mut self, enabled: bool) {
         self.trace = enabled.then(Vec::new);
     }
 
-    /// The full recorded trace, if full tracing is enabled. For the
-    /// always-on bounded view, use [`recent_trace`]
-    /// (CommandTimer::recent_trace), which never returns `None`.
+    /// The full recorded trace, if full tracing is enabled.
     pub fn trace(&self) -> Option<&[TraceEntry]> {
         self.trace.as_deref()
-    }
-
-    /// Resizes the always-on ring-buffer trace (default
-    /// [`DEFAULT_TRACE_CAPACITY`] entries); a capacity of 0 disables ring
-    /// recording. Existing entries beyond the new capacity are evicted
-    /// oldest-first; the dropped-entry count resets.
-    pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.ring_cap = capacity;
-        self.ring_dropped = 0;
-        while self.ring.len() > capacity {
-            self.ring.pop_front();
-        }
-    }
-
-    /// The most recent commands (up to the ring capacity), oldest first.
-    /// Always available — no opt-in required.
-    pub fn recent_trace(&self) -> Vec<TraceEntry> {
-        self.ring.iter().copied().collect()
-    }
-
-    /// Commands evicted from the ring buffer since the last
-    /// [`set_trace_capacity`](CommandTimer::set_trace_capacity) call.
-    pub fn trace_dropped(&self) -> u64 {
-        self.ring_dropped
     }
 
     /// Attaches a telemetry registry: subsequent commands bump per-bank
@@ -345,16 +306,8 @@ impl CommandTimer {
     }
 
     fn record(&mut self, at_ps: u64, bank: usize, command: TraceCommand) {
-        let entry = TraceEntry { at_ps, bank, command };
         if let Some(trace) = &mut self.trace {
-            trace.push(entry);
-        }
-        if self.ring_cap > 0 {
-            if self.ring.len() == self.ring_cap {
-                self.ring.pop_front();
-                self.ring_dropped += 1;
-            }
-            self.ring.push_back(entry);
+            trace.push(TraceEntry { at_ps, bank, command });
         }
     }
 
@@ -1048,33 +1001,6 @@ mod tests {
         assert!(t.trace().unwrap().is_empty());
         t.set_tracing(false);
         assert!(t.trace().is_none());
-    }
-
-    #[test]
-    fn ring_trace_is_always_on_and_bounded() {
-        let mut t = timer(AapMode::Overlapped);
-        // No opt-in: the ring already records.
-        t.aap(0, 1, 1).unwrap();
-        assert_eq!(t.recent_trace().len(), 3);
-        assert_eq!(t.trace_dropped(), 0);
-        assert!(t.trace().is_none(), "full trace stays opt-in");
-
-        t.set_trace_capacity(4);
-        assert_eq!(t.recent_trace().len(), 3, "entries under cap survive");
-        t.aap(0, 1, 1).unwrap(); // 3 more commands, 2 evicted
-        let recent = t.recent_trace();
-        assert_eq!(recent.len(), 4);
-        assert_eq!(t.trace_dropped(), 2);
-        // Oldest-first: the tail of the command stream.
-        assert_eq!(recent[3].command, TraceCommand::Precharge);
-        // Times stay monotone on the single bank.
-        assert!(recent.windows(2).all(|w| w[0].at_ps <= w[1].at_ps));
-
-        t.set_trace_capacity(0);
-        assert!(t.recent_trace().is_empty());
-        t.aap(0, 1, 1).unwrap();
-        assert!(t.recent_trace().is_empty(), "capacity 0 disables the ring");
-        assert_eq!(t.trace_dropped(), 0);
     }
 
     #[test]

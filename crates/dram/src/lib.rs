@@ -61,9 +61,7 @@ pub use bitrow::{BitRow, IterOnes};
 pub use campaign::{
     CampaignConfig, CampaignTick, FaultCampaign, StuckCell, SubarrayFaultPlan,
 };
-pub use controller::{
-    CommandTimer, TimerStats, TraceCommand, TraceEntry, DEFAULT_TRACE_CAPACITY,
-};
+pub use controller::{CommandTimer, TimerStats, TraceCommand, TraceEntry};
 pub use device::DramDevice;
 pub use energy::{EnergyAccount, EnergyModel};
 pub use error::{DramError, Result};

@@ -1,11 +1,12 @@
-//! Minimal JSON support: string escaping for the exporters and a small
-//! recursive-descent parser for validating emitted snapshots.
+//! Minimal JSON support: string escaping for the exporters, a compact
+//! writer, and a small recursive-descent parser.
 //!
 //! The repository is built offline with no external dependencies, so the
-//! bench snapshot and JSONL trace formats are produced and consumed by this
-//! hand-rolled module instead of `serde_json`. It supports exactly the JSON
-//! subset the exporters emit: objects, arrays, strings with `\uXXXX`
-//! escapes, finite numbers, booleans, and null.
+//! bench snapshots, the JSONL trace format and the conformance repro files
+//! are produced and consumed by this hand-rolled module instead of
+//! `serde_json`. It supports exactly the JSON subset they use: objects,
+//! arrays, strings with `\uXXXX` escapes, finite numbers, booleans, and
+//! null.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -102,6 +103,16 @@ impl Json {
         }
     }
 
+    /// The value as `u64` from a number or a decimal string. Full-width
+    /// 64-bit values (seeds) travel as strings because an `f64` is exact
+    /// only up to 2^53.
+    pub fn as_u64_any(&self) -> Option<u64> {
+        match self {
+            Json::Str(s) => s.parse().ok(),
+            _ => self.as_u64(),
+        }
+    }
+
     /// The value as `&str` if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -123,6 +134,39 @@ impl Json {
         match self {
             Json::Obj(m) => Some(m),
             _ => None,
+        }
+    }
+}
+
+/// Writes compact JSON: objects in key order, strings through [`escape`]
+/// and numbers through [`number`].
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(v) => f.write_str(&number(*v)),
+            Json::Str(s) => write!(f, "\"{}\"", escape(s)),
+            Json::Arr(items) => {
+                f.write_str("[")?;
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "{v}")?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(map) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in map.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(",")?;
+                    }
+                    write!(f, "\"{}\":{v}", escape(k))?;
+                }
+                f.write_str("}")
+            }
         }
     }
 }
@@ -338,9 +382,47 @@ mod tests {
     }
 
     #[test]
-    fn rejects_trailing_garbage() {
-        assert!(Json::parse("{} x").is_err());
-        assert!(Json::parse("{\"a\":}").is_err());
+    fn rejects_malformed_input() {
+        for bad in [
+            "{", "[1,", "\"abc", "{\"a\" 1}", "nul", "[1 2]", "{}x", "{} x", "{\"a\":}",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn parses_whitespace_and_empty_containers() {
+        assert_eq!(Json::parse(" { } ").unwrap(), Json::Obj(BTreeMap::new()));
+        assert_eq!(Json::parse("[ ]").unwrap(), Json::Arr(vec![]));
+        assert_eq!(Json::parse("-12.5").unwrap(), Json::Num(-12.5));
+    }
+
+    #[test]
+    fn display_round_trips_nested_documents() {
+        let obj = |pairs: Vec<(&str, Json)>| {
+            Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        };
+        let doc = obj(vec![
+            ("seed", Json::Num(42.0)),
+            ("rate", Json::Num(0.125)),
+            ("name", Json::Str("a \"quoted\" name\n".into())),
+            ("flag", Json::Bool(true)),
+            ("none", Json::Null),
+            (
+                "items",
+                Json::Arr(vec![
+                    Json::Num(1.0),
+                    Json::Num(2.0),
+                    obj(vec![("k", Json::Str("v".into()))]),
+                ]),
+            ),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(
+            text,
+            r#"{"flag":true,"items":[1,2,{"k":"v"}],"name":"a \"quoted\" name\n","none":null,"rate":0.125,"seed":42}"#
+        );
+        assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 
     #[test]
@@ -348,6 +430,11 @@ mod tests {
         assert_eq!(Json::parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(Json::parse("4.5").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
+        // Full-width values travel as decimal strings.
+        assert_eq!(Json::Num(7.0).as_u64_any(), Some(7));
+        assert_eq!(Json::Str(u64::MAX.to_string()).as_u64_any(), Some(u64::MAX));
+        assert_eq!(Json::Str("x".into()).as_u64_any(), None);
+        assert_eq!(Json::Null.as_u64_any(), None);
     }
 
     #[test]

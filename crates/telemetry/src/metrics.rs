@@ -43,8 +43,8 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A fresh zero counter (standalone; use [`Registry::counter`]
-    /// (crate::Registry::counter) to also expose it).
+    /// A fresh zero counter (standalone; use
+    /// [`Registry::counter`](crate::Registry::counter) to also expose it).
     pub fn new() -> Self {
         Counter::default()
     }

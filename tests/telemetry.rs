@@ -8,7 +8,7 @@ use ambit_repro::core::{
 };
 use ambit_repro::dram::{
     AapMode, BankId, CampaignConfig, CellFault, DramGeometry, EnergyModel, FaultCampaign,
-    TimingParams, DEFAULT_TRACE_CAPACITY,
+    TimingParams,
 };
 use ambit_repro::telemetry::{json::Json, Registry, TRACE_CAPACITY};
 
@@ -227,34 +227,6 @@ fn clean_scrubs_count_the_scrubs_that_only_refreshed() {
         registry.counter_value("ambit_resilient_scrubs_total", &[]),
         Some(4)
     );
-}
-
-#[test]
-fn ring_trace_is_always_on_through_the_whole_stack() {
-    let mut mem = AmbitMemory::new(
-        DramGeometry::tiny(),
-        TimingParams::ddr3_1600(),
-        AapMode::Overlapped,
-    );
-    let bits = mem.row_bits();
-    let a = mem.alloc(bits).unwrap();
-    let b = mem.alloc(bits).unwrap();
-    let d = mem.alloc(bits).unwrap();
-    mem.poke_bits(a, &vec![true; bits]).unwrap();
-    mem.poke_bits(b, &vec![true; bits]).unwrap();
-    mem.bitwise(BitwiseOp::And, a, Some(b), d).unwrap();
-
-    // Without opting into full tracing, the bounded ring still holds the
-    // most recent commands.
-    let timer = mem.controller().timer();
-    assert!(timer.trace().is_none(), "full trace stays opt-in");
-    let recent = timer.recent_trace();
-    assert!(!recent.is_empty());
-    assert!(recent.len() <= DEFAULT_TRACE_CAPACITY);
-    // Entries are in issue order.
-    for pair in recent.windows(2) {
-        assert!(pair[0].at_ps <= pair[1].at_ps);
-    }
 }
 
 #[test]
