@@ -249,7 +249,9 @@ impl Program {
 
     /// Structural validation: every op's vector indices exist, operands of
     /// one op share a length and a co-location group (the driver would
-    /// reject anything else), arities match, and folds use supported ops.
+    /// reject anything else), arities match, folds use supported ops, and
+    /// a fault- or profile-armed program is
+    /// [`resilient_compatible`](Self::resilient_compatible).
     ///
     /// # Errors
     ///
@@ -314,6 +316,22 @@ impl Program {
         if let Some(rate) = self.fault_tra_rate {
             if !(0.0..=1.0).contains(&rate) {
                 return Err(format!("fault rate {rate} outside [0, 1]"));
+            }
+        }
+        // An armed program runs through the resilient executor, which
+        // takes only plain bitwise ops.
+        if self.fault_tra_rate.is_some() || self.profile_seed.is_some() {
+            let other = self.ops.iter().enumerate().find_map(|(i, op)| match op {
+                ProgOp::Bitwise { .. } => None,
+                ProgOp::Maj3 { .. } => Some((i, "maj3")),
+                ProgOp::Fold { .. } => Some((i, "fold")),
+                ProgOp::Synth { .. } => Some((i, "synth")),
+            });
+            if let Some((i, kind)) = other {
+                return Err(format!(
+                    "op {i}: a fault- or profile-armed program runs on the resilient \
+                     executor, which takes bitwise ops only, not {kind}"
+                ));
             }
         }
         Ok(())
@@ -624,8 +642,13 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_profile_seed() {
         // Full-width u64 seeds must survive (the writer emits them as
-        // decimal strings, beyond f64's integer range).
-        let p = Program { profile_seed: Some(u64::MAX - 7), ..sample() };
+        // decimal strings, beyond f64's integer range). A profile-armed
+        // program holds bitwise ops only.
+        let p = Program {
+            profile_seed: Some(u64::MAX - 7),
+            ops: sample().ops[..1].to_vec(),
+            ..sample()
+        };
         let text = p.to_json().to_string();
         let back = Program::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, p);
@@ -660,6 +683,23 @@ mod tests {
         let mut p = sample();
         p.ops[1] = ProgOp::Maj3 { a: 0, b: 1, c: 9, dst: 2 };
         assert!(p.validate().unwrap_err().contains("missing vector"));
+    }
+
+    #[test]
+    fn validation_rejects_armed_programs_the_resilient_executor_cannot_run() {
+        let bitwise_only = Program { ops: sample().ops[..1].to_vec(), ..sample() };
+        for armed in [
+            Program { fault_tra_rate: Some(0.001), ..sample() },
+            Program { profile_seed: Some(5), ..sample() },
+        ] {
+            assert_eq!(
+                armed.validate().unwrap_err(),
+                "op 1: a fault- or profile-armed program runs on the resilient executor, \
+                 which takes bitwise ops only, not maj3"
+            );
+            let armed = Program { ops: bitwise_only.ops.clone(), ..armed };
+            assert_eq!(armed.validate(), Ok(()));
+        }
     }
 
     #[test]

@@ -299,13 +299,27 @@ mod tests {
     /// conformance crate's former JSON codec.
     const LEGACY_REPRO: &str = r#"{"failures":[{"detail":"vector 2 differs at bit 77: \"got\" 1\n\texpected 0","path":"resilient"}],"format":"ambit-conformance-repro-v1","mutation":{"bit":77,"path":"resilient","vector":2},"program":{"aap_mode":"naive","fault_tra_rate":0.0005,"geometry":"tiny","ops":[{"dst":2,"kind":"bitwise","op":"bbop_xor","src1":0,"src2":1},{"dst":1,"kind":"bitwise","op":"bbop_not","src1":2,"src2":null},{"dst":2,"kind":"fold","op":"bbop_or","srcs":[0,1]}],"profile_seed":"18446744073709551608","seed":"16045690984503111693","tie_break":"zero","timing":"ddr3_1600","vectors":[{"bits":128,"data_seed":"18446744073709551557","group":0},{"bits":128,"data_seed":"2","group":0},{"bits":128,"data_seed":"1152921504606846976","group":0}]}}"#;
 
+    /// The fold of [`LEGACY_REPRO`]'s op 2, which no armed program may
+    /// hold, and a bitwise OR over the same vectors in its place.
+    const LEGACY_FOLD: &str = r#"{"dst":2,"kind":"fold","op":"bbop_or","srcs":[0,1]}"#;
+    const LEGACY_OR: &str = r#"{"dst":2,"kind":"bitwise","op":"bbop_or","src1":0,"src2":1}"#;
+
     #[test]
     fn legacy_repro_re_serializes_byte_for_byte() {
-        let repro = Repro::from_json_text(LEGACY_REPRO).unwrap();
+        let text = LEGACY_REPRO.replace(LEGACY_FOLD, LEGACY_OR);
+        let repro = Repro::from_json_text(&text).unwrap();
         assert_eq!(repro.program.fault_tra_rate, Some(0.0005));
         assert_eq!(repro.program.profile_seed, Some(u64::MAX - 7));
         assert_eq!(repro.program.vectors[0].data_seed, u64::MAX - 58);
-        assert_eq!(repro.to_json().to_string(), LEGACY_REPRO);
+        assert_eq!(repro.to_json().to_string(), text);
+    }
+
+    #[test]
+    fn fault_armed_repro_with_a_fold_is_rejected_as_malformed() {
+        assert!(LEGACY_REPRO.contains(LEGACY_FOLD));
+        let err = Repro::from_json_text(LEGACY_REPRO).unwrap_err();
+        assert!(err.starts_with("op 2:"), "{err}");
+        assert!(err.contains("fold"), "{err}");
     }
 
     #[test]

@@ -221,7 +221,7 @@ pub struct BatchOpView {
 pub struct BatchBuilder {
     pub(crate) ops: Vec<BatchOp>,
     /// Explicit `(later, earlier)` edges added via `depends_on`.
-    explicit: Vec<(usize, usize)>,
+    pub(crate) explicit: Vec<(usize, usize)>,
 }
 
 impl BatchBuilder {

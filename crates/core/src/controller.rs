@@ -289,7 +289,7 @@ impl AmbitController {
         self.ensure_control_rows(bank, subarray);
         let receipt = self.time_program(bank, subarray, program)?;
         let b = self.device.bank_mut(bank);
-        run_program_on_bank(b, &self.layout, self.salp, subarray, program)?;
+        run_program_on_bank(b, &self.layout, subarray, program)?;
         Ok(receipt)
     }
 
@@ -377,7 +377,7 @@ impl AmbitController {
             self.ensure_control_rows(chunk.bank, chunk.subarray);
         }
         let row_words = self.row_bits().div_ceil(64);
-        fanout.run(self.device.banks_mut(), plans, self.layout, self.salp, row_words)
+        fanout.run(self.device.banks_mut(), plans, self.layout, row_words)
     }
 
     /// Reads data row `Dk` through the DRAM protocol (ACTIVATE, column
@@ -523,17 +523,19 @@ impl AmbitController {
     }
 
     /// Ensures C0/C1 hold their constants in the given subarray (the
-    /// manufacturer initializes these once; we do it lazily).
+    /// manufacturer initializes these once; we do it lazily). Both rows
+    /// share the subarray's constant buffers
+    /// ([`Subarray::poke_constant`](ambit_dram::Subarray::poke_constant)),
+    /// so a TRA that raises a copy of either resolves as an AND or OR.
     fn ensure_control_rows(&mut self, bank: BankId, subarray: usize) {
         let geometry = self.device.geometry();
         let slot = bank.flat_index(geometry) * geometry.subarrays_per_bank + subarray;
         if subarray < geometry.subarrays_per_bank && self.control_ready[slot] {
             return;
         }
-        let bits = self.row_bits();
         let sa = self.device.bank_mut(bank).subarray_mut(subarray);
-        sa.poke_row(crate::addressing::ROW_C0, BitRow::zeros(bits));
-        sa.poke_row(crate::addressing::ROW_C1, BitRow::ones(bits));
+        sa.poke_constant(crate::addressing::ROW_C0, false);
+        sa.poke_constant(crate::addressing::ROW_C1, true);
         self.control_ready[slot] = true;
     }
 }
@@ -544,10 +546,12 @@ impl AmbitController {
 /// Banks share no state with the timer, and each subarray owns its RNG
 /// stream, so running this after the timing half (or on another thread)
 /// leaves the same device image.
+///
+/// Every command is one device call ([`Bank::aap`], [`Bank::ap`]), which
+/// closes the subarray under SALP and the bank without it.
 pub(crate) fn run_program_on_bank(
     bank: &mut Bank,
     layout: &SubarrayLayout,
-    salp: bool,
     subarray: usize,
     program: &[AmbitCmd],
 ) -> Result<()> {
@@ -556,23 +560,9 @@ pub(crate) fn run_program_on_bank(
             AmbitCmd::Aap(a1, a2) => {
                 let wl1 = layout.decode(a1)?;
                 let wl2 = layout.decode(a2)?;
-                bank.activate(subarray, &wl1)?;
-                bank.activate(subarray, &wl2)?;
-                if salp {
-                    bank.precharge_subarray(subarray)?;
-                } else {
-                    bank.precharge()?;
-                }
+                bank.aap(subarray, &wl1, &wl2)?;
             }
-            AmbitCmd::Ap(a) => {
-                let wl = layout.decode(a)?;
-                bank.activate(subarray, &wl)?;
-                if salp {
-                    bank.precharge_subarray(subarray)?;
-                } else {
-                    bank.precharge()?;
-                }
-            }
+            AmbitCmd::Ap(a) => bank.ap(subarray, &layout.decode(a)?)?,
         }
     }
     Ok(())

@@ -175,12 +175,39 @@ pub struct AmbitMemory {
     /// readers of a shared `&AmbitMemory` never race.
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
+    /// The last batch's plan, reused by the next batch when that batch is
+    /// op-for-op identical (see [`BatchPlan`]). One entry, dropped by
+    /// [`free`](AmbitMemory::free) of a handle it references.
+    batch_plan: Option<Arc<BatchPlan>>,
     /// The functional pass of every eager op and batch: per-bank queues and
     /// the parked worker threads that run them, sized from
     /// `available_parallelism` (override: `AMBIT_POOL_THREADS` or
     /// `set_pool_threads`). Workers are spawned on the first dispatch and
     /// joined when the memory drops.
     pool: Fanout,
+}
+
+/// One planned batch: its dependency waves and each op's chunk programs,
+/// beside a copy of the ops and explicit edges they were planned from.
+/// A batch with the same ops and edges has the same waves and the same
+/// plans (the plan cache's argument: handles are never reused and chunk
+/// layouts never change while a handle lives), so
+/// [`execute_batch`](AmbitMemory::execute_batch) replays it without
+/// hazard analysis or plan lookups.
+#[derive(Debug)]
+struct BatchPlan {
+    ops: Vec<BatchOp>,
+    explicit: Vec<(usize, usize)>,
+    waves: Vec<Vec<usize>>,
+    plans: Arc<[Arc<[ChunkProgram]>]>,
+}
+
+impl BatchPlan {
+    /// Whether `batch` has exactly the ops and explicit edges this plan
+    /// was made from.
+    fn serves(&self, batch: &BatchBuilder) -> bool {
+        self.ops == batch.ops && self.explicit == batch.explicit
+    }
 }
 
 /// Cached telemetry handles for the driver's per-operation view.
@@ -204,11 +231,17 @@ struct DriverTelemetry {
     batch_phase_us: [Histogram; BatchPhase::LABELS.len()],
     /// Batches per issue path, indexed by [`BATCH_PATHS`].
     batch_paths: [Counter; BATCH_PATHS.len()],
+    /// Batches per plan source, indexed by [`PLAN_SOURCES`].
+    batch_plans: [Counter; PLAN_SOURCES.len()],
 }
 
 /// The `path` label of `ambit_batch_path_total`: the clock policy a batch
 /// ran under ([`IssuePolicy::Serial`] first, then bank-parallel).
 const BATCH_PATHS: [&str; 2] = ["serial", "bank_parallel"];
+
+/// The `source` label of `ambit_batch_plan_total`: planned from scratch
+/// (waves and plan-cache lookups) first, then the last batch's plan reused.
+const PLAN_SOURCES: [&str; 2] = ["compiled", "reused"];
 
 /// The host-side phases of one `execute_batch` call, timed into
 /// `ambit_batch_phase_host_us{phase}` while telemetry is attached.
@@ -216,7 +249,8 @@ const BATCH_PATHS: [&str; 2] = ["serial", "bank_parallel"];
 enum BatchPhase {
     /// Dependency planning (`BatchBuilder::waves`).
     Waves,
-    /// Plan-cache lookups, plus validation and compilation on misses.
+    /// Plan-cache lookups, plus validation and compilation on misses; or
+    /// the check that the last batch's plan serves this one.
     Plan,
     /// The timing pass: every chunk program issued on the command timer.
     Issue,
@@ -305,6 +339,14 @@ impl DriverTelemetry {
                 &[("path", path)],
             )
         });
+        let batch_plans = PLAN_SOURCES.map(|source| {
+            registry.counter(
+                "ambit_batch_plan_total",
+                "Batches by where their plan came from: compiled, or the \
+                 previous identical batch's plan reused",
+                &[("source", source)],
+            )
+        });
         DriverTelemetry {
             registry,
             latency_ns,
@@ -315,6 +357,7 @@ impl DriverTelemetry {
             preremaps,
             batch_phase_us,
             batch_paths,
+            batch_plans,
         }
     }
 
@@ -436,6 +479,7 @@ impl AmbitMemory {
             plan_cache: Mutex::new(IdHashMap::default()),
             plan_cache_hits: AtomicU64::new(0),
             plan_cache_misses: AtomicU64::new(0),
+            batch_plan: None,
             pool: Fanout::with_default_size(),
         }
     }
@@ -1040,8 +1084,12 @@ impl AmbitMemory {
     ///    memory image, device stats and fault draws are the same for every
     ///    policy and thread budget.
     ///
-    /// Every batch increments `ambit_batch_path_total{path}` with its
-    /// policy (`serial` or `bank_parallel`).
+    /// A batch op-for-op identical to the previous one, with the same
+    /// explicit edges, skips planning: it reuses that batch's waves and
+    /// plans (each op it serves counts as a plan-cache hit). Every batch
+    /// increments `ambit_batch_path_total{path}` with its policy (`serial`
+    /// or `bank_parallel`) and `ambit_batch_plan_total{source}` with where
+    /// its plan came from (`compiled` or `reused`).
     ///
     /// # Errors
     ///
@@ -1093,15 +1141,39 @@ impl AmbitMemory {
         mut traffic: Option<&mut FrFcfsScheduler>,
     ) -> Result<BatchReceipt> {
         let mut clock = PhaseClock::new(self.telemetry.is_some());
-        let waves = batch.waves()?;
-        clock.lap(BatchPhase::Waves as usize);
-        // Upfront validation and compilation: no command issues unless the
-        // whole batch is well-formed.
-        let plans: Arc<[Arc<[ChunkProgram]>]> = batch
-            .ops
-            .iter()
-            .map(|entry| self.plan_op(entry))
-            .collect::<Result<_>>()?;
+        let reused = self
+            .batch_plan
+            .as_ref()
+            .filter(|plan| plan.serves(batch))
+            .map(Arc::clone);
+        let source = usize::from(reused.is_some());
+        let plan = match reused {
+            // Each op the reused plan serves counts as the plan-cache hit
+            // its lookup would have been.
+            Some(plan) => {
+                self.count_plan_hits(batch.len() as u64);
+                plan
+            }
+            None => {
+                let waves = batch.waves()?;
+                clock.lap(BatchPhase::Waves as usize);
+                // Upfront validation and compilation: no command issues
+                // unless the whole batch is well-formed.
+                let plans = batch
+                    .ops
+                    .iter()
+                    .map(|entry| self.plan_op(entry))
+                    .collect::<Result<_>>()?;
+                let plan = Arc::new(BatchPlan {
+                    ops: batch.ops.clone(),
+                    explicit: batch.explicit.clone(),
+                    waves,
+                    plans,
+                });
+                self.batch_plan = Some(Arc::clone(&plan));
+                plan
+            }
+        };
         clock.lap(BatchPhase::Plan as usize);
 
         let busy_before: Vec<u64> = (0..self.ctrl.timer().tracked_banks())
@@ -1111,6 +1183,7 @@ impl AmbitMemory {
         let serial = policy == IssuePolicy::Serial;
         if let Some(tel) = &self.telemetry {
             tel.batch_paths[usize::from(!serial)].inc();
+            tel.batch_plans[source].inc();
         }
 
         // Timing pass: issue every chunk program on the command timer in
@@ -1119,11 +1192,11 @@ impl AmbitMemory {
         let geometry = *self.ctrl.geometry();
         self.pool.begin();
         let mut per_op: Vec<Option<OpReceipt>> = vec![None; batch.len()];
-        for wave in &waves {
+        for wave in &plan.waves {
             let mut wave_end = 0u64;
             for &i in wave {
                 let mut op_total: Option<OpReceipt> = None;
-                for (c, chunk) in plans[i].iter().enumerate() {
+                for (c, chunk) in plan.plans[i].iter().enumerate() {
                     if let Some(tr) = traffic.as_deref_mut() {
                         tr.service_arrived(self.ctrl.timer_mut())?;
                     }
@@ -1161,7 +1234,8 @@ impl AmbitMemory {
         // Functional pass: one queue per bank. Co-location keeps every
         // program inside its own (bank, subarray), so per-bank FIFO order is
         // the only order the device can observe, fault draws included.
-        self.ctrl.run_bank_queues(&Plans::Batch(plans), &mut self.pool)?;
+        self.ctrl
+            .run_bank_queues(&Plans::Batch(Arc::clone(&plan.plans)), &mut self.pool)?;
         clock.lap(BatchPhase::Fanout as usize);
 
         let per_op: Vec<OpReceipt> = per_op
@@ -1181,7 +1255,7 @@ impl AmbitMemory {
         let receipt = BatchReceipt {
             total,
             per_op,
-            waves: waves.len(),
+            waves: plan.waves.len(),
             bank_busy_ps,
         };
         if let Some(tel) = &mut self.telemetry {
@@ -1203,10 +1277,7 @@ impl AmbitMemory {
     fn plan_op(&self, entry: &BatchOp) -> Result<Arc<[ChunkProgram]>> {
         let cached = self.plan_cache().get(entry).cloned();
         if let Some(hit) = cached {
-            self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(tel) = &self.telemetry {
-                tel.plan_cache_hits.inc();
-            }
+            self.count_plan_hits(1);
             return Ok(hit);
         }
         // Compile outside the lock: validation walks allocator metadata and
@@ -1221,6 +1292,14 @@ impl AmbitMemory {
         }
         self.plan_cache().insert(entry.clone(), Arc::clone(&chunks));
         Ok(chunks)
+    }
+
+    /// Counts `n` plan-cache hits, in the stats and in telemetry.
+    fn count_plan_hits(&self, n: u64) {
+        self.plan_cache_hits.fetch_add(n, Ordering::Relaxed);
+        if let Some(tel) = &self.telemetry {
+            tel.plan_cache_hits.add(n);
+        }
     }
 
     /// The locked plan cache. A thread that panicked while holding the
@@ -1534,6 +1613,13 @@ impl AmbitMemory {
     /// Returns an unknown-handle error if already freed.
     pub fn free(&mut self, handle: BitVectorHandle) -> Result<()> {
         self.plan_cache().retain(|op, _| !op.involves(handle));
+        if self
+            .batch_plan
+            .as_ref()
+            .is_some_and(|plan| plan.ops.iter().any(|op| op.involves(handle)))
+        {
+            self.batch_plan = None;
+        }
         self.vectors
             .remove(&handle.0)
             .map(|_| ())
@@ -1971,6 +2057,31 @@ mod tests {
     }
 
     #[test]
+    fn free_drops_a_reused_batch_plan_that_references_the_handle() {
+        let mut mem = memory();
+        let bits = mem.row_bits();
+        let [a, b, d, other] = [0; 4].map(|_| mem.alloc(bits).unwrap());
+        let mut batch = BatchBuilder::new();
+        batch.bitwise(BitwiseOp::Or, a, Some(b), d);
+        mem.execute_batch(&batch, IssuePolicy::Serial).unwrap();
+        let kept = mem.batch_plan.clone().expect("the batch's plan is kept");
+        mem.execute_batch(&batch, IssuePolicy::Serial).unwrap();
+        assert!(
+            Arc::ptr_eq(&kept, mem.batch_plan.as_ref().unwrap()),
+            "an identical batch reuses the plan"
+        );
+        mem.free(other).unwrap();
+        assert!(mem.batch_plan.is_some(), "an unrelated free keeps it");
+        mem.free(b).unwrap();
+        assert!(mem.batch_plan.is_none(), "freeing an operand drops it");
+        // The stale batch fails validation instead of replaying the plan.
+        assert_eq!(
+            mem.execute_batch(&batch, IssuePolicy::Serial).unwrap_err(),
+            AmbitError::UnknownHandle { id: b.0 }
+        );
+    }
+
+    #[test]
     fn ops_sharing_handles_keep_separate_plan_cache_entries() {
         let mut mem = memory();
         let bits = mem.row_bits() * 2;
@@ -2103,7 +2214,7 @@ mod tests {
         let empty = Plans::Op(Vec::new().into());
         let layout = *threaded.ctrl.layout();
         let banks = threaded.ctrl.device_mut().banks_mut();
-        let err = threaded.pool.run(banks, &empty, layout, false, 1).unwrap_err();
+        let err = threaded.pool.run(banks, &empty, layout, 1).unwrap_err();
         assert!(
             matches!(&err, AmbitError::ExecutorPanicked { message } if message.contains("out of")),
             "{err}"

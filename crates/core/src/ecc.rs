@@ -78,12 +78,23 @@ impl PackedVote {
     }
 }
 
-/// Expands packed rows into the first `len` logical bits.
+/// Expands packed rows into the first `len` logical bits, a word at a
+/// time.
 pub(crate) fn unpack<'a>(rows: impl IntoIterator<Item = &'a BitRow>, len: usize) -> Vec<bool> {
-    rows.into_iter()
-        .flat_map(|row| (0..row.len()).map(move |bit| row.get(bit)))
-        .take(len)
-        .collect()
+    let mut out = Vec::with_capacity(len);
+    for row in rows {
+        // Bits of this row still wanted; a row's tail word may be partial.
+        let mut left = row.len().min(len - out.len());
+        for &word in row.words() {
+            if left == 0 {
+                break;
+            }
+            let take = left.min(64);
+            out.extend((0..take).map(|bit| word >> bit & 1 == 1));
+            left -= take;
+        }
+    }
+    out
 }
 
 impl TmrVector {
@@ -403,6 +414,33 @@ mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    fn unpack_matches_the_bit_by_bit_expansion() {
+        let bit_by_bit = |rows: &[BitRow], len: usize| -> Vec<bool> {
+            rows.iter()
+                .flat_map(|row| (0..row.len()).map(move |bit| row.get(bit)))
+                .take(len)
+                .collect()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0ecc);
+        // Row widths off and on the word size, one to three chunks, and
+        // lengths that end inside a word, a row and the last row.
+        for row_bits in [1, 63, 64, 65, 130, 256] {
+            for chunks in 1..=3 {
+                let rows: Vec<BitRow> =
+                    (0..chunks).map(|_| BitRow::random(row_bits, &mut rng)).collect();
+                let total = row_bits * chunks;
+                for len in [0, 1, row_bits - 1, row_bits, total / 2 + 1, total - 1, total] {
+                    assert_eq!(
+                        unpack(&rows, len),
+                        bit_by_bit(&rows, len),
+                        "{row_bits}-bit rows × {chunks}, len {len}"
+                    );
+                }
+            }
+        }
+    }
 
     fn memory() -> AmbitMemory {
         AmbitMemory::new(

@@ -119,7 +119,6 @@ struct BankJob {
     queue: Vec<(usize, usize)>,
     plans: Plans,
     layout: SubarrayLayout,
-    salp: bool,
     result: Result<()>,
     /// Microseconds from the dispatch until a thread, the caller or a
     /// worker, took the bank.
@@ -128,13 +127,7 @@ struct BankJob {
 
 impl BankJob {
     fn run(&mut self) {
-        self.result = run_queue(
-            &mut self.bank,
-            &self.queue,
-            &self.plans,
-            &self.layout,
-            self.salp,
-        );
+        self.result = run_queue(&mut self.bank, &self.queue, &self.plans, &self.layout);
     }
 }
 
@@ -215,12 +208,11 @@ fn run_queue(
     queue: &[(usize, usize)],
     plans: &Plans,
     layout: &SubarrayLayout,
-    salp: bool,
 ) -> Result<()> {
     catch_unwind(AssertUnwindSafe(|| {
         queue.iter().try_for_each(|&at| {
             let chunk = plans.chunk(at);
-            run_program_on_bank(bank, layout, salp, chunk.subarray, &chunk.program)
+            run_program_on_bank(bank, layout, chunk.subarray, &chunk.program)
         })
     }))
     .unwrap_or_else(|payload| {
@@ -415,7 +407,6 @@ impl Fanout {
         banks: &mut [Bank],
         plans: &Plans,
         layout: SubarrayLayout,
-        salp: bool,
         row_words: usize,
     ) -> Result<()> {
         let busy = self.queues.iter().filter(|q| !q.is_empty()).count();
@@ -429,12 +420,12 @@ impl Fanout {
         if threads == 1 {
             for (flat, queue) in self.queues.iter().enumerate() {
                 if !queue.is_empty() {
-                    let result = run_queue(&mut banks[flat], queue, plans, &layout, salp);
+                    let result = run_queue(&mut banks[flat], queue, plans, &layout);
                     outcome.record(flat, result);
                 }
             }
         } else {
-            self.dispatch(banks, plans, layout, salp, threads - 1, &mut outcome);
+            self.dispatch(banks, plans, layout, threads - 1, &mut outcome);
         }
 
         let dispatched = threads > 1;
@@ -512,7 +503,6 @@ impl Fanout {
         banks: &mut [Bank],
         plans: &Plans,
         layout: SubarrayLayout,
-        salp: bool,
         woken: usize,
         outcome: &mut Outcome,
     ) {
@@ -524,7 +514,6 @@ impl Fanout {
                 queue: mem::take(&mut self.queues[flat]),
                 plans: plans.clone(),
                 layout,
-                salp,
                 result: Ok(()),
                 waited_us: 0.0,
             });
@@ -671,7 +660,7 @@ mod tests {
 
     fn run(fanout: &mut Fanout, banks: &mut [Bank], plans: &Plans, bits: usize) -> Result<()> {
         queue_all(fanout, plans);
-        fanout.run(banks, plans, layout(), false, bits / 64)
+        fanout.run(banks, plans, layout(), bits / 64)
     }
 
     #[test]
@@ -731,7 +720,7 @@ mod tests {
         }
         let mut wide = banks(WIDE_BITS);
         fanout
-            .run(&mut wide, &plans, layout(), false, WIDE_BITS / 64)
+            .run(&mut wide, &plans, layout(), WIDE_BITS / 64)
             .unwrap();
         let stats = fanout.stats();
         assert_eq!(
@@ -758,7 +747,7 @@ mod tests {
             fanout.queue(flat, (0, usize::MAX), 0);
         }
         let err = fanout
-            .run(&mut banks_hit, &plans, layout(), false, WIDE_BITS / 64)
+            .run(&mut banks_hit, &plans, layout(), WIDE_BITS / 64)
             .unwrap_err();
         assert!(
             matches!(&err, AmbitError::ExecutorPanicked { message } if message.contains("out of")),

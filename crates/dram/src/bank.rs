@@ -133,6 +133,73 @@ impl Bank {
         Ok(sense)
     }
 
+    /// Runs one AAP in `subarray` as one call: ACTIVATE `src`, ACTIVATE
+    /// `dst`, then a precharge of that subarray under SALP or of the bank
+    /// without it (see [`Subarray::aap`]). Rows, stats, errors and the
+    /// bank's open list are those of the three protocol calls.
+    ///
+    /// A bank with a subarray open, or a subarray index out of range,
+    /// takes the three calls themselves, so a conflict surfaces as their
+    /// error and leaves their state.
+    ///
+    /// # Errors
+    ///
+    /// Any error of [`activate`](Bank::activate),
+    /// [`precharge`](Bank::precharge) or
+    /// [`precharge_subarray`](Bank::precharge_subarray).
+    pub fn aap(&mut self, subarray: usize, src: &[Wordline], dst: &[Wordline]) -> Result<()> {
+        if let Some(sa) = self.idle_subarray(subarray) {
+            let result = sa.aap(src, dst);
+            // A rejected second ACTIVATE leaves the subarray open, as the
+            // first protocol call would have recorded it.
+            if sa.is_activated() {
+                self.open.push(subarray);
+            }
+            return result;
+        }
+        self.activate(subarray, src)?;
+        self.activate(subarray, dst)?;
+        self.close(subarray)
+    }
+
+    /// Runs one AP in `subarray` as one call: ACTIVATE `wordlines`, then
+    /// the precharge [`aap`](Bank::aap) issues, with the rows, stats,
+    /// errors and open list of the two protocol calls.
+    ///
+    /// # Errors
+    ///
+    /// Any error of [`activate`](Bank::activate),
+    /// [`precharge`](Bank::precharge) or
+    /// [`precharge_subarray`](Bank::precharge_subarray).
+    pub fn ap(&mut self, subarray: usize, wordlines: &[Wordline]) -> Result<()> {
+        if let Some(sa) = self.idle_subarray(subarray) {
+            return sa.ap(wordlines);
+        }
+        self.activate(subarray, wordlines)?;
+        self.close(subarray)
+    }
+
+    /// `subarray`, when it exists and neither it nor any other subarray of
+    /// the bank is open: the state in which an AAP or AP runs in one call.
+    fn idle_subarray(&mut self, subarray: usize) -> Option<&mut Subarray> {
+        if !self.open.is_empty() {
+            return None;
+        }
+        self.subarrays
+            .get_mut(subarray)
+            .filter(|sa| !sa.is_activated())
+    }
+
+    /// The precharge that ends an AAP or AP: of `subarray` alone under
+    /// SALP, of the whole bank without it.
+    fn close(&mut self, subarray: usize) -> Result<()> {
+        if self.salp {
+            self.precharge_subarray(subarray)
+        } else {
+            self.precharge()
+        }
+    }
+
     /// Issues a SALP-style precharge to one subarray, leaving others open.
     ///
     /// # Errors

@@ -281,6 +281,40 @@ impl BitRow {
         self.mask_tail();
     }
 
+    /// [`majority_signed_into`](Self::majority_signed_into) with a constant
+    /// third row: `self = a ∨ b` against an all-one row and `self = a ∧ b`
+    /// against an all-zero one (MAJ(a, b, 1) = a ∨ b, MAJ(a, b, 0) =
+    /// a ∧ b), each of `a` and `b` complemented first when its flag is
+    /// set. Reads two rows where the three-row kernel reads three.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn majority_with_constant_into(
+        &mut self,
+        a: &BitRow,
+        invert_a: bool,
+        b: &BitRow,
+        invert_b: bool,
+        constant: bool,
+    ) {
+        assert_eq!(self.len, a.len, "majority: length mismatch");
+        assert_eq!(self.len, b.len, "majority: length mismatch");
+        let mask = |invert: bool| if invert { u64::MAX } else { 0 };
+        let (ma, mb) = (mask(invert_a), mask(invert_b));
+        let words = self.words.iter_mut().zip(a.words.iter().zip(&b.words));
+        if constant {
+            for (out, (&x, &y)) in words {
+                *out = (x ^ ma) | (y ^ mb);
+            }
+        } else {
+            for (out, (&x, &y)) in words {
+                *out = (x ^ ma) & (y ^ mb);
+            }
+        }
+        self.mask_tail();
+    }
+
     /// Combines this row with `other` word-by-word in place:
     /// `self[i] = f(self[i], other[i])` for each backing word. Tail bits
     /// beyond `len` are re-masked afterwards, so `f` may produce them

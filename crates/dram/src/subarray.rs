@@ -293,6 +293,12 @@ pub struct Subarray {
     force_scalar: bool,
     /// Shared all-zero row standing in for never-written storage slots.
     zeros: Arc<BitRow>,
+    /// Shared all-one row, allocated by the first
+    /// [`poke_constant`](Subarray::poke_constant) of ones. The subarray
+    /// keeps a reference to both constant buffers, so neither is ever
+    /// parked or written in place, and a TRA that raises one of them
+    /// resolves as an AND or OR of the other two rows.
+    ones: Option<Arc<BitRow>>,
     /// Row buffers whose values are dead, owned by nothing else (until the
     /// subarray is cloned): parked by [`precharge`](Subarray::precharge)
     /// or released when their last row was overwritten, and reused by the
@@ -302,6 +308,12 @@ pub struct Subarray {
     /// Optional telemetry counters for the fast/slow charge-share split.
     word_parallel_counter: Option<Counter>,
     scalar_counter: Option<Counter>,
+}
+
+/// Whether raising `wl` conflicts with `raised`: both wordlines of one row
+/// (its data side and its bitline-bar side) at once.
+fn conflicts(raised: &[Wordline], wl: &Wordline) -> bool {
+    raised.iter().any(|r| r.row == wl.row && r.side != wl.side)
 }
 
 impl Subarray {
@@ -324,6 +336,7 @@ impl Subarray {
             tra_faults: FaultGaps::default(),
             force_scalar: false,
             zeros: Arc::new(BitRow::zeros(bits)),
+            ones: None,
             spares: Vec::new(),
             word_parallel_counter: None,
             scalar_counter: None,
@@ -635,6 +648,28 @@ impl Subarray {
         self.store(self.resolve(row), data);
     }
 
+    /// Directly fills a row with all-zero (`one == false`) or all-one
+    /// cells, bypassing the protocol: the row shares the subarray's
+    /// constant buffer for that value instead of a buffer of its own. A
+    /// triple-row activation that raises a row holding a constant buffer
+    /// computes the AND or OR of the other two rows (MAJ(a, b, 0) = a ∧ b,
+    /// MAJ(a, b, 1) = a ∨ b) and reads two rows instead of three; the
+    /// sensed row is the same. A stuck-at cell of the row that differs is
+    /// pinned in a copy, which is then an ordinary row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn poke_constant(&mut self, row: usize, one: bool) {
+        let value = if one {
+            let bits = self.bits;
+            Arc::clone(self.ones.get_or_insert_with(|| Arc::new(BitRow::ones(bits))))
+        } else {
+            Arc::clone(&self.zeros)
+        };
+        self.poke_row_buffer(row, value);
+    }
+
     /// Refreshes one row without writing it: the retention stamp a
     /// [`poke_row`](Subarray::poke_row) of the row's own value would leave,
     /// and nothing else. A no-op unless a retention window is armed.
@@ -696,43 +731,11 @@ impl Subarray {
         if wordlines.is_empty() {
             return Err(DramError::EmptyActivation);
         }
-        // Dedup into a fixed-capacity inline list: Ambit raises at most
-        // three wordlines, so this never allocates on the command path.
-        let mut deduped = WordlineList::new();
-        for &wl in wordlines {
-            if wl.row >= self.rows {
-                return Err(DramError::RowOutOfRange {
-                    row: wl.row,
-                    rows: self.rows,
-                });
-            }
-            if deduped
-                .as_slice()
-                .iter()
-                .any(|d| d.row == wl.row && d.side != wl.side)
-            {
-                return Err(DramError::ConflictingWordlines { row: wl.row });
-            }
-            if !deduped.as_slice().contains(&wl) {
-                deduped.push(wl);
-            }
-        }
+        let deduped = self.raise_list(wordlines)?;
 
         match &self.state {
             State::Precharged => {
-                self.check_retention(deduped.as_slice())?;
-                let sense = self.charge_share(deduped.as_slice())?;
-                self.stats.activations += 1;
-                if deduped.as_slice().len() >= 2 {
-                    self.stats.multi_row_activations += 1;
-                }
-                if deduped.as_slice().len() == 3 {
-                    self.stats.triple_row_activations += 1;
-                }
-                match deduped.as_slice() {
-                    [wl] => self.stamp_refresh(wl.row),
-                    raised => self.restore(raised, &sense),
-                }
+                let sense = self.open(deduped.as_slice())?;
                 self.state = State::Activated {
                     sense,
                     raised: deduped,
@@ -748,12 +751,11 @@ impl Subarray {
                 };
                 // Check every new wordline before raising any, so a
                 // rejected ACTIVATE leaves the open wordlines as they were.
-                if let Some(wl) = deduped.as_slice().iter().find(|wl| {
-                    raised
-                        .as_slice()
-                        .iter()
-                        .any(|r| r.row == wl.row && r.side != wl.side)
-                }) {
+                if let Some(wl) = deduped
+                    .as_slice()
+                    .iter()
+                    .find(|wl| conflicts(raised.as_slice(), wl))
+                {
                     let row = wl.row;
                     self.state = State::Activated { sense, raised };
                     return Err(DramError::ConflictingWordlines { row });
@@ -785,11 +787,125 @@ impl Subarray {
         match std::mem::replace(&mut self.state, State::Precharged) {
             State::Precharged => Err(DramError::BankNotActivated),
             State::Activated { sense, .. } => {
-                self.park(sense);
-                self.stats.precharges += 1;
+                self.close(sense);
                 Ok(())
             }
         }
+    }
+
+    /// Runs one AAP — ACTIVATE `src`, ACTIVATE `dst`, PRECHARGE (paper
+    /// Section 5.2) — as one call. It is built from the helpers the three
+    /// protocol calls use, so rows, stats, retention stamps, fault draws
+    /// and errors are theirs; only the open state never leaves the call.
+    ///
+    /// An input the protocol rejects before sensing (an empty,
+    /// out-of-range or conflicting wordline set) and an already-activated
+    /// subarray take the three calls themselves, so the error and the
+    /// state it leaves (the subarray still open after a rejected second
+    /// ACTIVATE) are the protocol's own.
+    ///
+    /// # Errors
+    ///
+    /// Any error of [`activate`](Subarray::activate) or
+    /// [`precharge`](Subarray::precharge).
+    pub fn aap(&mut self, src: &[Wordline], dst: &[Wordline]) -> Result<()> {
+        let lists = match (self.raise_list(src), self.raise_list(dst)) {
+            (Ok(s), Ok(d))
+                if !self.is_activated()
+                    && !src.is_empty()
+                    && !dst.is_empty()
+                    && !d.as_slice().iter().any(|wl| conflicts(s.as_slice(), wl)) =>
+            {
+                Some((s, d))
+            }
+            _ => None,
+        };
+        let Some((src, dst)) = lists else {
+            self.activate(src)?;
+            self.activate(dst)?;
+            return self.precharge();
+        };
+        let sense = self.open(src.as_slice())?;
+        self.stats.copy_activations += 1;
+        self.restore(dst.as_slice(), &sense);
+        self.close(sense);
+        Ok(())
+    }
+
+    /// Runs one AP — ACTIVATE `wordlines`, PRECHARGE — as one call, with
+    /// the rows, stats, retention stamps, fault draws and errors of the
+    /// two protocol calls (see [`aap`](Subarray::aap)).
+    ///
+    /// # Errors
+    ///
+    /// Any error of [`activate`](Subarray::activate) or
+    /// [`precharge`](Subarray::precharge).
+    pub fn ap(&mut self, wordlines: &[Wordline]) -> Result<()> {
+        match self.raise_list(wordlines) {
+            Ok(list) if !self.is_activated() && !wordlines.is_empty() => {
+                let sense = self.open(list.as_slice())?;
+                self.close(sense);
+                Ok(())
+            }
+            _ => {
+                self.activate(wordlines)?;
+                self.precharge()
+            }
+        }
+    }
+
+    /// Dedups `wordlines` into a fixed-capacity inline list (Ambit raises
+    /// at most three, so this never allocates on the command path).
+    ///
+    /// # Errors
+    ///
+    /// [`DramError::RowOutOfRange`] or [`DramError::ConflictingWordlines`]
+    /// for the first wordline, in order, that is out of range or raises
+    /// the other side of a row already in the list.
+    fn raise_list(&self, wordlines: &[Wordline]) -> Result<WordlineList> {
+        let mut deduped = WordlineList::new();
+        for &wl in wordlines {
+            if wl.row >= self.rows {
+                return Err(DramError::RowOutOfRange {
+                    row: wl.row,
+                    rows: self.rows,
+                });
+            }
+            if conflicts(deduped.as_slice(), &wl) {
+                return Err(DramError::ConflictingWordlines { row: wl.row });
+            }
+            if !deduped.as_slice().contains(&wl) {
+                deduped.push(wl);
+            }
+        }
+        Ok(deduped)
+    }
+
+    /// The ACTIVATE of deduped `wordlines` from the precharged state:
+    /// retention check, charge share, counters and restore (a single
+    /// wordline only renews its retention stamp). Returns the sensed row;
+    /// the caller keeps the open state.
+    fn open(&mut self, wordlines: &[Wordline]) -> Result<Arc<BitRow>> {
+        self.check_retention(wordlines)?;
+        let sense = self.charge_share(wordlines)?;
+        self.stats.activations += 1;
+        if wordlines.len() >= 2 {
+            self.stats.multi_row_activations += 1;
+        }
+        if wordlines.len() == 3 {
+            self.stats.triple_row_activations += 1;
+        }
+        match wordlines {
+            [wl] => self.stamp_refresh(wl.row),
+            raised => self.restore(raised, &sense),
+        }
+        Ok(sense)
+    }
+
+    /// The PRECHARGE of an open row buffer: parks its sense row.
+    fn close(&mut self, sense: Arc<BitRow>) {
+        self.park(sense);
+        self.stats.precharges += 1;
     }
 
     /// The current sense-amplifier (row buffer) contents, if activated.
@@ -935,9 +1051,37 @@ impl Subarray {
     /// so the total is ±1 or ±3) — a tie is arithmetically impossible, which
     /// is why this path needs no tie-break policy and draws nothing from the
     /// RNG: it is bit-exact with the scalar reference by construction.
+    ///
+    /// A raised row that holds one of the subarray's constant buffers (see
+    /// [`poke_constant`](Subarray::poke_constant); never-written rows hold
+    /// the zero buffer too) pulls every bitline the same way, so the
+    /// majority is the AND (constant 0) or OR (constant 1) of the other
+    /// two rows, with the constant's own side deciding which. That reads
+    /// two rows instead of three and senses the same row.
     fn charge_share_tra_word_parallel(&self, wordlines: &[Wordline], sense: &mut BitRow) {
         let bar = |wl: &Wordline| wl.side == BitlineSide::BitlineBar;
         let row = |wl: &Wordline| &**self.row_arc(self.resolve(wl.row));
+        let constant = |wl: &Wordline| {
+            let stored = self.row_arc(self.resolve(wl.row));
+            let one = if Arc::ptr_eq(stored, &self.zeros) {
+                false
+            } else if self.ones.as_ref().is_some_and(|o| Arc::ptr_eq(stored, o)) {
+                true
+            } else {
+                return None;
+            };
+            // Through bitline-bar a cell pulls toward its complement.
+            Some(one != bar(wl))
+        };
+        if let Some((k, one)) = (0..3).find_map(|k| constant(&wordlines[k]).map(|one| (k, one))) {
+            let (x, y) = match k {
+                0 => (&wordlines[1], &wordlines[2]),
+                1 => (&wordlines[0], &wordlines[2]),
+                _ => (&wordlines[0], &wordlines[1]),
+            };
+            sense.majority_with_constant_into(row(x), bar(x), row(y), bar(y), one);
+            return;
+        }
         sense.majority_signed_into(
             row(&wordlines[0]),
             bar(&wordlines[0]),

@@ -21,6 +21,9 @@
 //!   path that consumes the fault RNG (fault-armed TRAs, like this
 //!   campaign's, count as `scalar` although the word kernel resolves
 //!   them),
+//! * `ambit_batch_plan_total{source}`: where each batch's plan came from,
+//!   `compiled` (dependency waves and plan-cache lookups) or `reused` (the
+//!   previous batch was op-for-op identical, so its plan replays),
 //! * `ambit_batch_path_total{path}`: the clock policy each batch ran under
 //!   (`serial` or `bank_parallel`), next to the `ambit_pool_*` counters of
 //!   the scoped-thread fan-out that runs every batch's functional pass
@@ -105,7 +108,9 @@ fn main() -> Result<(), AmbitError> {
 
     // Phase 4: batch paths. The same batch runs four times, each as a
     // timing pass on this thread and a functional pass through the per-bank
-    // fan-out, and `ambit_batch_path_total{path}` counts the clock policy:
+    // fan-out; the first compiles its plan and the other three reuse it
+    // (`ambit_batch_plan_total{source}`), and
+    // `ambit_batch_path_total{path}` counts the clock policy:
     // bank-parallel on a four-thread budget (so the fan-out spawns threads
     // even on a one-core host), serial, bank-parallel on a one-thread
     // budget (the fan-out drains inline), and bank-parallel with transient
@@ -176,6 +181,13 @@ fn main() -> Result<(), AmbitError> {
         "#   one-thread budget: {} jobs inline, {} threads spawned",
         inline.inline_jobs, inline.cold_spawns
     );
+    println!("# batch plans (ambit_batch_plan_total):");
+    for source in ["compiled", "reused"] {
+        let n = registry
+            .counter_value("ambit_batch_plan_total", &[("source", source)])
+            .unwrap_or(0);
+        println!("#   source={source}: {n}");
+    }
     println!(
         "# batch host time by phase (ambit_batch_phase_host_us, wall clock; \
          issue = timing pass, fanout = functional pass):"

@@ -3,8 +3,8 @@
 //! seeded fault campaign, and export well-formed Prometheus/JSONL.
 
 use ambit_repro::core::{
-    AmbitController, AmbitMemory, BitwiseOp, RecoveryReport, ResilientConfig,
-    ResilientExecutor, RowAddress,
+    AmbitController, AmbitMemory, BatchBuilder, BitwiseOp, IssuePolicy,
+    RecoveryReport, ResilientConfig, ResilientExecutor, RowAddress,
 };
 use ambit_repro::dram::{
     AapMode, BankId, CampaignConfig, CellFault, DramGeometry, EnergyModel, FaultCampaign,
@@ -344,4 +344,56 @@ fn fanout_decisions_are_counted_per_pass() {
     );
     let prom = registry.render_prometheus();
     assert!(prom.contains("ambit_fanout_total{mode=\"dispatched\"} 2"), "{prom}");
+}
+
+/// `ambit_batch_plan_total{source}` counts where each batch's plan came
+/// from: a batch op-for-op identical to the previous one, with the same
+/// explicit edges, reuses its plan, and every op that plan serves still
+/// counts as a plan-cache hit. A changed edge, or a batch in between,
+/// compiles again; freeing a handle the plan does not use keeps it.
+#[test]
+fn batch_plans_are_counted_by_source() {
+    let mut mem = AmbitMemory::new(
+        DramGeometry::tiny(),
+        TimingParams::ddr3_1600(),
+        AapMode::Overlapped,
+    );
+    let registry = Registry::new();
+    mem.set_telemetry(registry.clone());
+    let bits = mem.row_bits();
+    let [a, b, t, out, spare] = [0; 5].map(|_| mem.alloc(bits).unwrap());
+    mem.poke_bits(a, &vec![true; bits]).unwrap();
+    mem.poke_bits(b, &(0..bits).map(|i| i % 3 == 0).collect::<Vec<_>>()).unwrap();
+    let build = |edge: bool| {
+        let mut batch = BatchBuilder::new();
+        let and = batch.bitwise(BitwiseOp::And, a, Some(b), t);
+        let not = batch.bitwise(BitwiseOp::Not, a, None, out);
+        if edge {
+            batch.depends_on(not, and).unwrap();
+        }
+        batch
+    };
+    let run = |mem: &mut AmbitMemory, batch: &BatchBuilder| {
+        mem.execute_batch(batch, IssuePolicy::BankParallel).unwrap()
+    };
+    let first = run(&mut mem, &build(false));
+    let again = build(false);
+    let reused = run(&mut mem, &again);
+    assert_eq!((first.waves, reused.waves), (1, 1));
+    run(&mut mem, &again);
+    let edged = run(&mut mem, &build(true));
+    assert_eq!(edged.waves, 2, "the explicit edge is planned, not reused away");
+    run(&mut mem, &build(false));
+    mem.free(spare).unwrap();
+    run(&mut mem, &build(false));
+    assert_eq!(mem.popcount(t).unwrap(), bits.div_ceil(3));
+    assert_eq!(mem.popcount(out).unwrap(), 0);
+
+    let source = |s| registry.counter_value("ambit_batch_plan_total", &[("source", s)]);
+    assert_eq!(source("compiled"), Some(3));
+    assert_eq!(source("reused"), Some(3));
+    // Two misses for the first batch; every later op is a hit, reused or
+    // looked up.
+    assert_eq!(mem.plan_cache_stats(), (10, 2));
+    assert_eq!(registry.counter_value("ambit_driver_plan_cache_hits", &[]), Some(10));
 }
